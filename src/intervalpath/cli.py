@@ -7,23 +7,17 @@ verification contradicts the solver.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from .claws import add_dummies, approx_deletion_set
 from .errors import InvalidSpec, ParseError
 from .generators import GeneratorSpec, generate
-from .intervals import format_intervals, normalize_endpoints, parse_intervals
+from .intervals import format_intervals, parse_intervals
 from .matching import kernelize, max_matching, parse_edge_list
 from .oracle import brute_longest_path
-from .pipeline import longest_path
-from .reduce1 import apply_rule1, compute_stage1_families
-from .reduce2 import apply_rule2, compute_stage2_families
-from .semiproper import make_semi_proper
+from .pipeline import longest_path, run_stages
 
 CSV_HEADER = (
     "instance_id,n,m,seed,d_size,kappa,b_size,answer_length,"
@@ -83,33 +77,22 @@ def solve(file: str, verify_oracle: bool, as_json: bool) -> None:
         click.echo(" ".join([str(result.length), *result.path]))
 
 
-def _stage_objects(graph):
-    normal = normalize_endpoints(graph)
-    semi = make_semi_proper(normal)
-    deletion = approx_deletion_set(semi)
-    widened, deletion = add_dummies(semi, deletion)
-    fam1 = compute_stage1_families(widened, deletion)
-    stage1 = apply_rule1(widened, fam1)
-    return deletion, stage1
-
-
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--stage", type=click.Choice(["1", "2"]), required=True)
 def reduce(file: str, stage: str) -> None:
     """Dump the graph after one or both reductions, with the partition."""
-    graph = _load_intervals(file)
-    deletion, stage1 = _stage_objects(graph)
+    stages = run_stages(_load_intervals(file))
     if stage == "1":
+        stage1 = stages.stage1
         out = stage1.g_sharp
         notes = [
-            "# d: " + " ".join(sorted(deletion.marked)),
+            "# d: " + " ".join(sorted(stages.deletion.marked)),
             "# a: " + " ".join(sorted(stage1.A)),
             "# u_sharp: " + " ".join(sorted(stage1.U_sharp)),
         ]
     else:
-        fam2 = compute_stage2_families(stage1, deletion)
-        special = apply_rule2(stage1, fam2, deletion)
+        special = stages.special
         out = special.graph
         notes = [
             "# a: " + " ".join(sorted(special.A)),
@@ -121,8 +104,7 @@ def reduce(file: str, stage: str) -> None:
         click.echo(line)
 
 
-def _bench_row(job) -> str:
-    instance_id, kind, n, k, seed = job
+def _bench_row(instance_id: str, kind: str, n: int, k: int, seed: int) -> str:
     graph = generate(GeneratorSpec(kind=kind, n=n, k=k, seed=seed))
     result = longest_path(graph)
     oracle = ""
@@ -177,12 +159,7 @@ def bench(kind: str, n_list: str, k_list: str, reps: int, seed: int, csv_path: s
             for rep in range(reps):
                 s = seed + rep
                 jobs.append((f"{kind}_n{n}_k{k}_s{s}", kind, n, k, s))
-    workers = max(1, int(os.environ.get("FPT_IP_THREADS", "1")))
-    if workers == 1:
-        rows = [_bench_row(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, jobs))
+    rows = [_bench_row(*job) for job in jobs]
     text = "\n".join([CSV_HEADER, *rows]) + "\n"
     if csv_path is None:
         click.echo(text, nl=False)

@@ -1,12 +1,14 @@
 """End-to-end longest path: preprocess, reduce twice, run the DP, lift back.
 
+``run_stages`` is the only place the stages before the DP are sequenced.
+
 Lifting retraces the reductions in reverse. Clone groups are undone against
 replayed intermediate graphs: the path is topped up with any clones it
 skipped, reordered into normal form, and the clone occurrences are swapped
 for the original vertices, the last one expanding into the whole remaining
-run. Collapsed clusters then reinflate in place. If a swap ever breaks
-adjacency the lifted vertex set is reordered from scratch into a normal path
-of the target graph; only if that also fails does the lift raise.
+run. Collapsed clusters then reinflate in place. The lift never patches its
+output: the final check raises ``LiftFailure`` if the lifted sequence is not
+a path of the input realizing the computed weight.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .claws import add_dummies, approx_deletion_set
+from .claws import DeletionSet, add_dummies, approx_deletion_set
 from .dp import max_weight_path
 from .errors import InvalidSpec, LiftFailure, NormalizationFailed
 from .intervals import IntervalGraph, normalize_endpoints
@@ -36,6 +38,41 @@ class PathResult:
     stats: dict
 
 
+@dataclass(frozen=True)
+class Stages:
+    """What the stages before the DP build, with their timings. ``deletion``
+    includes the sentinels; ``d_size`` counts it without them."""
+
+    normal: IntervalGraph
+    widened: IntervalGraph
+    deletion: DeletionSet
+    stage1: Stage1Result
+    special: SpecialWeightedIntervalGraph
+    d_size: int
+    t_preprocess_ns: int
+    t_reduce1_ns: int
+    t_reduce2_ns: int
+
+
+def run_stages(graph: IntervalGraph) -> Stages:
+    """Preprocess, find the deletion set, and apply both reductions."""
+    t0 = time.perf_counter_ns()
+    normal = normalize_endpoints(graph)
+    semi = make_semi_proper(normal)
+    deletion = approx_deletion_set(semi)
+    d_size = len(deletion.marked)
+    widened, deletion = add_dummies(semi, deletion)
+    t1 = time.perf_counter_ns()
+
+    stage1 = apply_rule1(widened, compute_stage1_families(widened, deletion))
+    t2 = time.perf_counter_ns()
+
+    special = apply_rule2(stage1, compute_stage2_families(stage1, deletion), deletion)
+    t3 = time.perf_counter_ns()
+
+    return Stages(normal, widened, deletion, stage1, special, d_size, t1 - t0, t2 - t1, t3 - t2)
+
+
 def _renormalize(graph: IntervalGraph, names: list) -> list:
     try:
         return normalize_path(graph, names)
@@ -49,16 +86,14 @@ def lift_stage2(path: list, special: SpecialWeightedIntervalGraph) -> list:
     cur = list(path)
     for t in range(len(special.groups), 0, -1):
         grp = special.groups[t - 1]
-        here, target = stages[t], stages[t - 1]
-        used = [nm for nm in cur if nm in set(grp.clones)]
-        if not used:
-            continue
-        missing = [nm for nm in grp.clones if nm not in set(used)]
-        at = max(i for i, nm in enumerate(cur) if nm in set(grp.clones))
-        cur = cur[: at + 1] + missing + cur[at + 1 :]
-        cur = _renormalize(here, cur)
-        members = list(grp.members)
         clone_set = set(grp.clones)
+        at = [i for i, nm in enumerate(cur) if nm in clone_set]
+        if not at:
+            continue
+        used = {cur[i] for i in at}
+        missing = [nm for nm in grp.clones if nm not in used]
+        cur = _renormalize(stages[t], cur[: at[-1] + 1] + missing + cur[at[-1] + 1 :])
+        members = grp.members
         lifted = []
         seen = 0
         for nm in cur:
@@ -70,8 +105,6 @@ def lift_stage2(path: list, special: SpecialWeightedIntervalGraph) -> list:
                 lifted.append(members[seen - 1])
             else:
                 lifted.extend(members[seen - 1 :])
-        if not is_path(target, lifted):
-            lifted = _renormalize(target, lifted)
         cur = lifted
     return cur
 
@@ -84,8 +117,6 @@ def lift_stage1(path: list, stage1: Stage1Result) -> list:
             out.extend(stage1.back_map[nm])
         else:
             out.append(nm)
-    if out and not is_path(stage1.source, out):
-        out = _renormalize(stage1.source, out)
     return out
 
 
@@ -94,28 +125,13 @@ def longest_path(graph: IntervalGraph) -> PathResult:
     if any(w != 1 for w in graph.weight):
         raise InvalidSpec("longest_path expects unit weights")
 
-    t0 = time.perf_counter_ns()
-    normal = normalize_endpoints(graph)
-    semi = make_semi_proper(normal)
-    deletion = approx_deletion_set(semi)
-    d_size = len(deletion.marked)
-    widened, deletion = add_dummies(semi, deletion)
-    t1 = time.perf_counter_ns()
-
-    fam1 = compute_stage1_families(widened, deletion)
-    stage1 = apply_rule1(widened, fam1)
-    t2 = time.perf_counter_ns()
-
-    fam2 = compute_stage2_families(stage1, deletion)
-    special = apply_rule2(stage1, fam2, deletion)
+    stages = run_stages(graph)
     t3 = time.perf_counter_ns()
-
-    outcome = max_weight_path(special)
+    outcome = max_weight_path(stages.special)
     t4 = time.perf_counter_ns()
 
-    hat_path = outcome.path
-    sharp_path = lift_stage2(hat_path, special)
-    full_path = lift_stage1(sharp_path, stage1)
+    sharp_path = lift_stage2(outcome.path, stages.special)
+    full_path = lift_stage1(sharp_path, stages.stage1)
     t5 = time.perf_counter_ns()
 
     weight = outcome.weight
@@ -127,13 +143,14 @@ def longest_path(graph: IntervalGraph) -> PathResult:
 
     stats = {
         "n": graph.n,
-        "m": graph.edge_count(),
-        "d_size": d_size,
-        "kappa": special.kappa,
-        "b_size": len(special.B),
-        "t_preprocess_ns": t1 - t0,
-        "t_reduce1_ns": t2 - t1,
-        "t_reduce2_ns": t3 - t2,
+        # same edge set as the input; preprocessing already built its adjacency
+        "m": stages.normal.edge_count(),
+        "d_size": stages.d_size,
+        "kappa": stages.special.kappa,
+        "b_size": len(stages.special.B),
+        "t_preprocess_ns": stages.t_preprocess_ns,
+        "t_reduce1_ns": stages.t_reduce1_ns,
+        "t_reduce2_ns": stages.t_reduce2_ns,
         "t_dp_ns": t4 - t3,
         "t_lift_ns": t5 - t4,
     }

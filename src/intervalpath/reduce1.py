@@ -41,7 +41,6 @@ class Stage1Families:
     U_2star_ix: dict
     components: dict
     S1: tuple
-    d_order: tuple = ()
 
     def p(self, i: int) -> int:
         return len(self.Li[i]) - 1
@@ -56,7 +55,6 @@ class Stage1Result:
     A: frozenset
     U_sharp: frozenset
     back_map: dict
-    source: IntervalGraph
     families: Stage1Families = field(repr=False, default=None)
 
 
@@ -146,7 +144,6 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
         U_2star_ix={k: tuple(nm[v] for v in c) for k, c in star2_cells.items()},
         components=components,
         S1=tuple(s1),
-        d_order=tuple(nm[d] for d in d_idx),
     )
 
 
@@ -179,6 +176,5 @@ def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
         A=frozenset(a_names),
         U_sharp=frozenset(families.U) - absorbed,
         back_map=back_map,
-        source=graph,
         families=families,
     )

@@ -51,7 +51,6 @@ class SpecialWeightedIntervalGraph:
     A: frozenset
     B: frozenset
     kappa: int
-    back_map2: dict
     groups: tuple = ()
     g_sharp: IntervalGraph = field(repr=False, default=None)
     v0: str | None = None
@@ -153,7 +152,6 @@ def apply_rule2(
     records = list(g.records())
     taken = {rec[0] for rec in records}
     groups = []
-    back_map2 = {}
     for gi, key in enumerate(sorted(families.Uji), 1):
         members = families.Uji[key]
         idx = [g.by_name(nm) for nm in members]
@@ -180,7 +178,6 @@ def apply_rule2(
                 records=tuple(clone_recs),
             )
         )
-        back_map2[tuple(names)] = members
 
     hat = normalize_endpoints(build(records))
     k = len(deletion.marked) - 2
@@ -190,7 +187,6 @@ def apply_rule2(
         A=stage1.A,
         B=frozenset(hat.names) - stage1.A,
         kappa=kappa,
-        back_map2=back_map2,
         groups=tuple(groups),
         g_sharp=g,
     )

@@ -2,12 +2,11 @@
 
 from fractions import Fraction
 
-from intervalpath.claws import DeletionSet, add_dummies, approx_deletion_set
-from intervalpath.intervals import build, normalize_endpoints
+from intervalpath.claws import DeletionSet
+from intervalpath.intervals import build
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
 from intervalpath.reduce2 import SpecialWeightedIntervalGraph, apply_rule2, compute_stage2_families
-from intervalpath.semiproper import make_semi_proper
 
 
 def path3():
@@ -37,19 +36,7 @@ def split3_special():
         A=frozenset({"a1", "a2"}),
         B=frozenset({"b"}),
         kappa=5,
-        back_map2={},
     )
-
-
-def pipeline_stages(graph):
-    """Run the front of the pipeline and return (widened, deletion, stage1, special)."""
-    semi = make_semi_proper(normalize_endpoints(graph))
-    deletion = approx_deletion_set(semi)
-    widened, deletion = add_dummies(semi, deletion)
-    stage1 = apply_rule1(widened, compute_stage1_families(widened, deletion))
-    fam2 = compute_stage2_families(stage1, deletion)
-    special = apply_rule2(stage1, fam2, deletion)
-    return widened, deletion, stage1, special
 
 
 def crafted_special():

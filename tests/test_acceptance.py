@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 from statistics import median
 
-from helpers import mm_brute, pipeline_stages, rand_simple
+from helpers import mm_brute, rand_simple
 from test_claws import induces_claw
 from test_paths import lemma_violations, normal_paths_of
 
@@ -20,7 +20,7 @@ from intervalpath.intervals import normalize_endpoints
 from intervalpath.matching import decide_matching, kernelize
 from intervalpath.oracle import brute_longest_path, brute_max_weight_path
 from intervalpath.paths import is_path
-from intervalpath.pipeline import longest_path
+from intervalpath.pipeline import longest_path, run_stages
 from intervalpath.reduce2 import compute_stage2_families
 from intervalpath.semiproper import make_semi_proper
 
@@ -61,7 +61,7 @@ def _staged(name):
     key = ("staged", name)
     got = _cache.get(key)
     if got is None:
-        got = [(g, *pipeline_stages(g)) for g in _corpus(name)]
+        got = [(g, run_stages(g)) for g in _corpus(name)]
         _cache[key] = got
     return got
 
@@ -128,13 +128,13 @@ def test_criterion_4_structural_bounds(capsys):
     runs = 0
     ok = True
     for name in ("random", "proper", "planted"):
-        for g, widened, deletion, stage1, special in _staged(name):
-            k = len(deletion.marked) - 2
-            fam2 = compute_stage2_families(stage1, deletion)
-            ok = ok and stage1.families.p_total() == 2 * (k + 1)
+        for g, st in _staged(name):
+            k = len(st.deletion.marked) - 2
+            fam2 = compute_stage2_families(st.stage1, st.deletion)
+            ok = ok and st.stage1.families.p_total() == 2 * (k + 1)
             ok = ok and all(j != i for (j, i) in fam2.Uji)
             ok = ok and len(fam2.T) <= 18 * k + 16
-            ok = ok and len(special.B) <= (k + 2) + comb(18 * k + 16, 2) * (k + 6)
+            ok = ok and len(st.special.B) <= (k + 2) + comb(18 * k + 16, 2) * (k + 6)
             runs += 1
             if not ok:
                 break
@@ -148,13 +148,13 @@ def test_criterion_5_weight_preserved_stage_by_stage(capsys):
     checked = 0
     ok = True
     for name in ("random", "proper", "planted"):
-        for g, widened, deletion, stage1, special in _staged(name):
+        for g, st in _staged(name):
             if g.n > 12:
                 continue
             w_g = brute_max_weight_path(g)
-            w_sharp = brute_max_weight_path(stage1.g_sharp)
-            w_hat = brute_max_weight_path(special.graph)
-            dp = Fraction(max_weight_path(special).weight)
+            w_sharp = brute_max_weight_path(st.stage1.g_sharp)
+            w_hat = brute_max_weight_path(st.special.graph)
+            dp = Fraction(max_weight_path(st.special).weight)
             ok = ok and w_g == w_sharp == w_hat == dp
             checked += 1
             if not ok:
@@ -175,8 +175,8 @@ def test_criterion_6_lifting_soundness(capsys):
             ok = ok and len(p) == res.length and len(set(p)) == len(p)
             ok = ok and (not p or is_path(g, p))
             runs += 1
-        for g, widened, deletion, stage1, special in _staged(name):
-            w = max_weight_path(special).weight
+        for g, st in _staged(name):
+            w = max_weight_path(st.special).weight
             ok = ok and w == int(w)
     _verdict(
         capsys, 6, "lifted paths realize the reported length", ok,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_simple_paths, pipeline_stages, split3_special, total_weight
+from helpers import all_simple_paths, split3_special, total_weight
 from intervalpath.dp import (
     PiTable,
     PrefixMaxTable,
@@ -17,6 +17,7 @@ from intervalpath.generators import Lcg
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
 from intervalpath.paths import is_normal_path
+from intervalpath.pipeline import run_stages
 from intervalpath.reduce2 import SpecialWeightedIntervalGraph
 
 
@@ -25,7 +26,7 @@ def special_of(records, a_names, kappa=None):
     a = frozenset(a_names)
     b = frozenset(g.names) - a
     return SpecialWeightedIntervalGraph(
-        graph=g, A=a, B=b, kappa=len(b) if kappa is None else kappa, back_map2={}
+        graph=g, A=a, B=b, kappa=len(b) if kappa is None else kappa
     )
 
 
@@ -44,7 +45,7 @@ def test_empty_graph_gets_only_the_seed_vertex():
 
 
 def test_path3_pipeline_value(path3):
-    _, _, _, sp = pipeline_stages(path3)
+    sp = run_stages(path3).special
     res = max_weight_path(sp)
     assert res.weight == 3
     assert res.path == ["a1"]
@@ -204,9 +205,7 @@ def random_special(lcg):
         if not ok or g.n == 0:
             continue
         b = frozenset(g.names) - a
-        return SpecialWeightedIntervalGraph(
-            graph=g, A=a, B=b, kappa=len(b), back_map2={}
-        )
+        return SpecialWeightedIntervalGraph(graph=g, A=a, B=b, kappa=len(b))
 
 
 def test_dp_matches_brute_force_on_random_specials():
@@ -223,7 +222,7 @@ def test_dp_matches_brute_force_on_pipeline_specials():
 
     for seed in range(25):
         g = generate(GeneratorSpec(kind="random", n=1 + seed % 11, seed=seed * 11 + 2))
-        _, _, _, sp = pipeline_stages(g)
+        sp = run_stages(g).special
         if sp.graph.n > 16:
             continue
         res = max_weight_path(sp)
@@ -282,21 +281,21 @@ def test_reads_never_touch_later_vertices():
 def test_invalid_partitions_rejected():
     g = build([("a1", 0, 3, 1), ("a2", 2, 5, 1)])
     sp = SpecialWeightedIntervalGraph(
-        graph=g, A=frozenset({"a1", "a2"}), B=frozenset(), kappa=3, back_map2={}
+        graph=g, A=frozenset({"a1", "a2"}), B=frozenset(), kappa=3
     )
     with pytest.raises(InvalidSpecialPartition):
         max_weight_path(sp)
 
     g2 = build([("a1", 0, 9, 1), ("b1", 2, 5, 1)])
     sp2 = SpecialWeightedIntervalGraph(
-        graph=g2, A=frozenset({"a1"}), B=frozenset({"b1"}), kappa=3, back_map2={}
+        graph=g2, A=frozenset({"a1"}), B=frozenset({"b1"}), kappa=3
     )
     with pytest.raises(InvalidSpecialPartition):
         max_weight_path(sp2)
 
     g3 = build([("b1", 0, 1, 1), ("b2", 2, 3, 1)])
     sp3 = SpecialWeightedIntervalGraph(
-        graph=g3, A=frozenset(), B=frozenset({"b1", "b2"}), kappa=1, back_map2={}
+        graph=g3, A=frozenset(), B=frozenset({"b1", "b2"}), kappa=1
     )
     with pytest.raises(InvalidSpecialPartition):
         max_weight_path(sp3)

@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import crafted_special, pipeline_stages, total_weight
+from helpers import crafted_special, total_weight
+from intervalpath import pipeline
 from intervalpath.errors import InvalidSpec, LiftFailure
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_longest_path
 from intervalpath.paths import is_normal_path, is_path
-from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path
+from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path, run_stages
 
 STAT_KEYS = {
     "n",
@@ -97,12 +98,12 @@ def test_lift_stage2_disconnected_input_fails():
 
 
 def test_lift_stage1_reinflates_cluster(path3):
-    _, _, stage1, _ = pipeline_stages(path3)
+    stage1 = run_stages(path3).stage1
     assert lift_stage1(["a1"], stage1) == ["a", "b", "c"]
 
 
 def test_lift_stage1_without_clusters(claw4):
-    _, _, stage1, _ = pipeline_stages(claw4)
+    stage1 = run_stages(claw4).stage1
     assert stage1.back_map == {}
     assert lift_stage1(["u", "v2"], stage1) == ["u", "v2"]
 
@@ -113,6 +114,7 @@ def test_lifted_paths_are_sound():
         n = 1 + lcg.randrange(12)
         g = generate(GeneratorSpec(kind="random", n=n, seed=lcg.randrange(1 << 30)))
         res = longest_path(g)
+        assert res.stats["m"] == g.edge_count()
         assert res.length == brute_longest_path(g)[0]
         assert len(res.path) == res.length
         assert len(set(res.path)) == res.length
@@ -124,6 +126,22 @@ def test_planted_instances_round_trip():
     for seed in range(6):
         g = generate(GeneratorSpec(kind="planted", n=30, seed=seed, k=2))
         res = longest_path(g)
+        assert res.stats["m"] == g.edge_count()
         assert is_path(g, res.path)
         assert res.length == len(res.path)
         assert res.stats["d_size"] <= 8
+
+
+def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):
+    g = build([("a", 1, 4, 1), ("b", 3, 6, 1), ("c", 5, 8, 1), ("d", 7, 10, 1)])
+    lift = pipeline.lift_stage1
+
+    def swap_first_and_third(path, stage1):
+        out = lift(path, stage1)
+        assert not g.adjacent(g.by_name(out[0]), g.by_name(out[2]))
+        out[0], out[2] = out[2], out[0]
+        return out
+
+    monkeypatch.setattr(pipeline, "lift_stage1", swap_first_and_third)
+    with pytest.raises(LiftFailure):
+        longest_path(g)

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pipeline_stages, total_weight
+from helpers import total_weight
 from intervalpath.claws import add_dummies, approx_deletion_set
 from intervalpath.errors import MissingDummies
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import normalize_endpoints
 from intervalpath.oracle import brute_longest_path, brute_max_weight_path
+from intervalpath.pipeline import run_stages
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families, is_reducible
 from intervalpath.semiproper import make_semi_proper
 
@@ -95,9 +96,10 @@ def test_apply_rule1_empty_family_is_identity(claw4):
 @pytest.mark.parametrize("seed", range(30))
 def test_families_invariants_random(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 31 + 5))
-    widened, deletion, stage1, _ = pipeline_stages(g)
-    fam = stage1.families
-    k = len(deletion.marked) - 2
+    st = run_stages(g)
+    widened = st.widened
+    fam = st.stage1.families
+    k = len(st.deletion.marked) - 2
     assert fam.p_total() == 2 * (k + 1)
     for i in fam.Li:
         pts = fam.Li[i]
@@ -123,9 +125,9 @@ def test_families_invariants_random(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_rule1_invariants_random(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 17 + 3))
-    widened, deletion, stage1, _ = pipeline_stages(g)
-    gs = stage1.g_sharp
-    assert total_weight(gs, gs.names) == total_weight(widened, widened.names)
+    st = run_stages(g)
+    stage1, gs = st.stage1, st.stage1.g_sharp
+    assert total_weight(gs, gs.names) == total_weight(st.widened, st.widened.names)
     a_idx = [gs.by_name(nm) for nm in stage1.A]
     for i, u in enumerate(a_idx):
         assert gs.weight[u] == len(stage1.back_map[gs.names[u]])
@@ -134,13 +136,13 @@ def test_rule1_invariants_random(seed):
         for v in range(gs.n):
             if v != u:
                 assert not gs.contains_interval(u, v)
-    assert set(gs.names) == deletion.marked | stage1.A | stage1.U_sharp
+    assert set(gs.names) == st.deletion.marked | stage1.A | stage1.U_sharp
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_rule1_preserves_best_weight(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 7 + 11))
-    widened, _, stage1, _ = pipeline_stages(g)
+    stage1 = run_stages(g).stage1
     want, _ = brute_longest_path(g)
     assert brute_max_weight_path(stage1.g_sharp) == Fraction(want)
 
@@ -148,9 +150,9 @@ def test_rule1_preserves_best_weight(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_all_or_none_on_best_paths(seed):
     g = generate(GeneratorSpec(kind="random", n=4 + seed % 9, seed=seed * 5 + 1))
-    widened, _, stage1, _ = pipeline_stages(g)
-    _, best = brute_longest_path(widened)
+    st = run_stages(g)
+    _, best = brute_longest_path(st.widened)
     on_path = set(best)
-    for s in stage1.families.S1:
+    for s in st.stage1.families.S1:
         inter = set(s) & on_path
         assert inter == set(s) or inter == set()

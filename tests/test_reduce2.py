@@ -3,10 +3,11 @@ from math import comb
 
 import pytest
 
-from helpers import crafted_special, pipeline_stages, total_weight
+from helpers import crafted_special, total_weight
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
+from intervalpath.pipeline import run_stages
 from intervalpath.reduce2 import (
     compute_stage2_families,
     intermediate_graphs,
@@ -39,7 +40,8 @@ def test_weakly_reducible_rejects_non_cliques(path3):
 
 
 def test_stage2_path3_is_trivial(path3):
-    widened, deletion, stage1, special = pipeline_stages(path3)
+    st = run_stages(path3)
+    deletion, stage1, special = st.deletion, st.stage1, st.special
     fam = compute_stage2_families(stage1, deletion)
     assert fam.S2 == ()
     assert all(not members for members in fam.Uji.values())
@@ -47,7 +49,6 @@ def test_stage2_path3_is_trivial(path3):
     assert special.A == {"a1"}
     assert special.B == set(deletion.marked)
     assert special.kappa == 722
-    assert special.back_map2 == {}
 
 
 def test_crafted_groups_and_weights():
@@ -59,7 +60,6 @@ def test_crafted_groups_and_weights():
         per_clone = Fraction(len(grp.members), want)
         for clone in grp.clones:
             assert special.graph.weight[special.graph.by_name(clone)] == per_clone
-        assert special.back_map2[grp.clones] == grp.members
     assert special.kappa == kappa_bound(len(deletion.marked) - 2)
 
 
@@ -121,7 +121,8 @@ def test_intermediate_graphs_replay():
 @pytest.mark.parametrize("seed", range(30))
 def test_stage2_invariants_random(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 41 + 7))
-    widened, deletion, stage1, special = pipeline_stages(g)
+    st = run_stages(g)
+    deletion, stage1, special = st.deletion, st.stage1, st.special
     k = len(deletion.marked) - 2
     fam = compute_stage2_families(stage1, deletion)
     assert len(fam.T) <= 18 * k + 16
@@ -144,7 +145,8 @@ def test_stage2_invariants_random(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_rule2_preserves_best_weight(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 3 + 29))
-    _, _, stage1, special = pipeline_stages(g)
+    st = run_stages(g)
+    stage1, special = st.stage1, st.special
     if special.graph.n > 18:
         pytest.skip("clone growth pushed past the oracle guard")
     assert brute_max_weight_path(special.graph) == brute_max_weight_path(stage1.g_sharp)
