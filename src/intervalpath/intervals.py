@@ -1,7 +1,8 @@
 """Weighted interval representations: construction, ordering, adjacency, file I/O.
 
-Coordinates are exact numbers: integers after any normalization step,
-Fractions while a transformation is in flight. All 2n endpoints of a
+Coordinates are integers at every stage. Only their order matters, so a
+transformation that fits new endpoints between old ones first spreads the old
+ones apart until each gap is wide enough. All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment reduce
 to strict coordinate comparisons and the right-endpoint order is unambiguous.
 """
@@ -9,7 +10,7 @@ to strict coordinate comparisons and the right-endpoint order is unambiguous.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     DegenerateInterval,
@@ -18,12 +19,6 @@ from .errors import (
     EmptySet,
     ParseError,
 )
-
-
-class Interval(NamedTuple):
-    vertex: str
-    left: object
-    right: object
 
 
 class IntervalGraph:

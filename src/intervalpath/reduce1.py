@@ -42,9 +42,6 @@ class Stage1Families:
     components: dict
     S1: tuple
 
-    def p(self, i: int) -> int:
-        return len(self.Li[i]) - 1
-
     def p_total(self) -> int:
         return sum(len(marks) - 1 for marks in self.Li.values())
 

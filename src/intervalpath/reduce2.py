@@ -8,13 +8,19 @@ swapped for min(bin size, deletion size + 4) copies of its span, the bin's
 weight split evenly among them. Copies are staircased inside the two outermost
 coordinate gaps of the span so they pairwise overlap, contain nothing, and
 keep exactly the span's adjacency to the rest of the graph.
+
+Coordinates stay integers: the reduced graph's endpoints are first scaled
+by 2n + 2, so every gap between them is empty and 2n + 2 wide. Copy j of a
+bin with c copies goes to [span left + j, span right - c - 1 + j]. A gap then
+holds at most the copy lefts of the bin whose span starts at its lower end
+and the copy rights of the bin whose span ends at its upper end (one bin
+when both ends are its own), at most n of each, so they never meet.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .errors import EmptySet
@@ -123,24 +129,19 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
     return Stage2Families(T=tuple(t_sorted), Uji=uji, S2=s2)
 
 
-def _place_clones(records: list, span_l, span_r, count: int, weight, names) -> list:
-    """Staircase ``count`` copies of the span inside its outermost free gaps."""
-    coords = sorted(c for rec in records for c in (rec[1], rec[2]))
-    mid = Fraction(span_l + span_r, 2)
-    left_hi = min(coords[bisect_right(coords, span_l)], mid)
-    right_lo = max(coords[bisect_left(coords, span_r) - 1], mid)
-    out = []
-    for j, name in enumerate(names, 1):
-        frac = Fraction(j, count + 1)
-        out.append(
-            (
-                name,
-                span_l + (left_hi - span_l) * frac,
-                right_lo + (span_r - right_lo) * frac,
-                weight,
-            )
-        )
-    return out
+def _spread_records(g: IntervalGraph) -> tuple:
+    """The gap width 2n + 2 and ``g``'s records with coordinates scaled by it."""
+    step = 2 * g.n + 2
+    return step, [(nm, l * step, r * step, w) for nm, l, r, w in g.records()]
+
+
+def _place_clones(span_l: int, span_r: int, weight, names) -> list:
+    """Staircase one copy of the span per name inside its outermost gaps."""
+    count = len(names)
+    return [
+        (name, span_l + j, span_r - count - 1 + j, weight)
+        for j, name in enumerate(names, 1)
+    ]
 
 
 def apply_rule2(
@@ -149,27 +150,26 @@ def apply_rule2(
     """Swap each bin for its clone clique, then renumber endpoints."""
     g = stage1.g_sharp
     cap = len(deletion.marked) + 4
-    records = list(g.records())
+    step, records = _spread_records(g)
     taken = {rec[0] for rec in records}
+    absorbed = set()
+    clones = []
     groups = []
     for gi, key in enumerate(sorted(families.Uji), 1):
         members = families.Uji[key]
         idx = [g.by_name(nm) for nm in members]
-        span_l = min(g.left[v] for v in idx)
-        span_r = max(g.right[v] for v in idx)
+        span_l = min(g.left[v] for v in idx) * step
+        span_r = max(g.right[v] for v in idx) * step
         total = sum(g.weight[v] for v in idx)
         count = min(len(members), cap)
-        absorbed = set(members)
-        records = [rec for rec in records if rec[0] not in absorbed]
+        absorbed.update(members)
         names = []
         for j in range(1, count + 1):
             nm = fresh_name(f"c{gi}_{j}", taken)
             taken.add(nm)
             names.append(nm)
-        clone_recs = _place_clones(
-            records, span_l, span_r, count, Fraction(total) / count, names
-        )
-        records.extend(clone_recs)
+        clone_recs = _place_clones(span_l, span_r, total / count, names)
+        clones.extend(clone_recs)
         groups.append(
             CloneGroup(
                 key=key,
@@ -179,6 +179,7 @@ def apply_rule2(
             )
         )
 
+    records = [rec for rec in records if rec[0] not in absorbed] + clones
     hat = normalize_endpoints(build(records))
     k = len(deletion.marked) - 2
     kappa = (k + 2) + comb(18 * k + 16, 2) * (k + 6)
@@ -198,7 +199,7 @@ def intermediate_graphs(special: SpecialWeightedIntervalGraph) -> list:
     Element t is the graph with the first t groups applied; the final element
     is adjacency-identical to ``special.graph`` up to endpoint renumbering.
     """
-    records = list(special.g_sharp.records())
+    _, records = _spread_records(special.g_sharp)
     out = [special.g_sharp]
     for grp in special.groups:
         absorbed = set(grp.members)

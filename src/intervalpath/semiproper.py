@@ -11,14 +11,17 @@ other endpoint that would flip an adjacency, and intervals only ever grow,
 so the edge set is preserved exactly. Containments that survive both passes
 have disjoint neighbors of u on both sides, which is the claw witness.
 
-Coordinates turn into Fractions while stretching and are remapped onto
-1..2n at the end.
+Coordinates stay integers throughout. Before the first center and after
+every center that moved something, all 2n endpoints are re-spaced onto
+multiples of n + 1 in their current order, so the gaps just above r_u and
+just below l_u are empty and n + 1 wide. A batch holds at most n vertices,
+so its j-th member moves to r_u + j (or l_u - j) without meeting any other
+endpoint. The output is remapped onto 1..2n at the end.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from fractions import Fraction
+from bisect import bisect_right
 
 from .intervals import IntervalGraph, build, normalize_endpoints
 
@@ -31,8 +34,8 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     n = graph.n
     if n == 0:
         return graph
-    left = [Fraction(c) for c in graph.left]
-    right = [Fraction(c) for c in graph.right]
+    left = list(graph.left)
+    right = list(graph.right)
     z1 = [-1] * n
     z2 = [-1] * n
     nbrs = [graph.neighbors(v) for v in range(n)]
@@ -44,16 +47,19 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
                 z2[u] = w
     adj = [set(a) for a in nbrs]
 
+    step = n + 1
     # snapshot of the current coordinates for an O(log n) nesting test
     lefts_sorted: list = []
-    owner: list = []
     sufmin: list = []
 
     def rebuild():
-        nonlocal lefts_sorted, owner, sufmin
+        nonlocal lefts_sorted, sufmin
+        # re-space every endpoint onto a multiple of step, order kept
+        pos = {c: i * step for i, c in enumerate(sorted(left + right), 1)}
+        left[:] = [pos[c] for c in left]
+        right[:] = [pos[c] for c in right]
         order = sorted(range(n), key=left.__getitem__)
         lefts_sorted = [left[v] for v in order]
-        owner = order
         sufmin = [None] * (n + 1)
         running = None
         for i in range(n - 1, -1, -1):
@@ -69,7 +75,6 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         return z == v or z in adj[v]
 
     rebuild()
-    all_coords = sorted(left + right)
 
     for u in graph.sigma:
         if not nests_something(u):
@@ -81,28 +86,16 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         batch = [v for v in contained if tied(v, z2[u])]
         if batch:
             batch.sort(key=left.__getitem__)
-            i = bisect_right(all_coords, ru)
-            bound = all_coords[i] if i < len(all_coords) else ru + 2
-            gap = bound - ru
             for j, v in enumerate(batch, 1):
-                old = right[v]
-                right[v] = ru + gap * Fraction(j, len(batch) + 1)
-                all_coords.remove(old)
-                insort(all_coords, right[v])
+                right[v] = ru + j
             dirty = True
 
         still = [v for v in contained if lu < left[v] and right[v] < ru]
         batch = [v for v in still if not tied(v, z2[u]) and tied(v, z1[u])]
         if batch:
             batch.sort(key=right.__getitem__, reverse=True)
-            i = bisect_left(all_coords, lu)
-            bound = all_coords[i - 1] if i > 0 else lu - 2
-            gap = lu - bound
             for j, v in enumerate(batch, 1):
-                old = left[v]
-                left[v] = lu - gap * Fraction(j, len(batch) + 1)
-                all_coords.remove(old)
-                insort(all_coords, left[v])
+                left[v] = lu - j
             dirty = True
 
         if dirty:

@@ -19,6 +19,16 @@ def kappa_bound(k):
     return (k + 2) + comb(18 * k + 16, 2) * (k + 6)
 
 
+def named_edges(g):
+    return {
+        frozenset((g.names[u], g.names[v])) for u in range(g.n) for v in g.neighbors(u)
+    }
+
+
+def int_coords(records):
+    return all(type(c) is int for rec in records for c in (rec[1], rec[2]))
+
+
 def test_weakly_reducible_triangle():
     g = build([("x", 0, 4, 1), ("y", 1, 5, 1), ("z", 2, 6, 1)])
     assert is_weakly_reducible(g, ["x", "y", "z"])
@@ -116,6 +126,7 @@ def test_intermediate_graphs_replay():
     assert len(chain) == len(special.groups) + 1
     assert chain[0].records() == stage1.g_sharp.records()
     assert sorted(chain[-1].names) == sorted(special.graph.names)
+    assert named_edges(chain[-1]) == named_edges(special.graph)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -140,6 +151,12 @@ def test_stage2_invariants_random(seed):
     assert len(special.B) <= special.kappa
     assert special.A | special.B == set(special.graph.names)
     assert not (special.A & special.B)
+    chain = intermediate_graphs(special)
+    assert named_edges(chain[-1]) == named_edges(special.graph)
+    for graph in (st.widened, stage1.g_sharp, special.graph, *chain):
+        assert int_coords(graph.records())
+    for grp in special.groups:
+        assert int_coords(grp.records)
 
 
 @pytest.mark.parametrize("seed", range(25))
