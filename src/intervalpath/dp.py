@@ -295,29 +295,29 @@ def max_weight_path(
 
 def reconstruct(table: DpTable, key) -> list:
     """Replay parent chains into the vertex-name path for a table entry."""
-    g = table.graph
     if key not in table.W:
         raise CorruptParentChain(f"no entry for {key}")
+    return [table.graph.names[v] for v in _walk(table.parent, key)]
 
-    def walk(k) -> list:
-        par = table.parent.get(k)
-        if par is None:
-            raise CorruptParentChain(f"no provenance for {k}")
-        pos, vi, y = k
-        tag = par[0]
-        if tag == "INIT":
-            return [vi]
-        if tag == "COPY":
-            return walk((pos, par[1], y))
-        if tag == "SELF_APPEND":
-            _, x, p = par
-            return walk((pos, p, x)) + [vi]
-        if tag == "TAIL":
-            _, x, p = par
-            return walk((pos, p, x)) + [vi, y]
-        if tag == "SPLIT":
-            _, x, p, zpos, py = par
-            return walk((pos, p, x)) + [vi] + walk((zpos, py, y))
-        raise CorruptParentChain(f"unknown case {tag!r}")
 
-    return [g.names[v] for v in walk(key)]
+def _walk(parent: dict, k) -> list:
+    # not nested in reconstruct: a recursive closure is a cycle holding the table
+    par = parent.get(k)
+    if par is None:
+        raise CorruptParentChain(f"no provenance for {k}")
+    pos, vi, y = k
+    tag = par[0]
+    if tag == "INIT":
+        return [vi]
+    if tag == "COPY":
+        return _walk(parent, (pos, par[1], y))
+    if tag == "SELF_APPEND":
+        _, x, p = par
+        return _walk(parent, (pos, p, x)) + [vi]
+    if tag == "TAIL":
+        _, x, p = par
+        return _walk(parent, (pos, p, x)) + [vi, y]
+    if tag == "SPLIT":
+        _, x, p, zpos, py = par
+        return _walk(parent, (pos, p, x)) + [vi] + _walk(parent, (zpos, py, y))
+    raise CorruptParentChain(f"unknown case {tag!r}")

@@ -101,19 +101,25 @@ class IntervalGraph:
         return self.index[name]
 
 
+def exact_weight(num, den=1):
+    """``num / den`` exactly: an int when integral, else a Fraction."""
+    w = num if type(num) is int and den == 1 else Fraction(num) / den
+    return w.numerator if w.denominator == 1 else w
+
+
 def build(items: Iterable) -> IntervalGraph:
     """Validate and build a graph from (name, left, right[, weight]) tuples.
 
-    Weights default to 1 and are stored as exact Fractions.
+    Weights default to 1 and are stored by ``exact_weight``.
     """
     names, lefts, rights, weights = [], [], [], []
     for item in items:
         if len(item) == 3:
             nm, l, r = item
-            w = Fraction(1)
+            w = 1
         else:
             nm, l, r, w = item
-            w = Fraction(w)
+            w = exact_weight(w)
         if w < 0:
             raise ValueError(f"negative weight for {nm!r}")
         names.append(nm)
@@ -194,21 +200,19 @@ def parse_intervals(text: str) -> IntervalGraph:
         nm = tok[0]
         try:
             l, r = int(tok[1]), int(tok[2])
-            w = Fraction(int(tok[3]), int(tok[4])) if len(tok) == 5 else Fraction(1)
+            w = exact_weight(int(tok[3]), int(tok[4])) if len(tok) == 5 else 1
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad interval line: {line!r}") from None
         items.append((nm, l, r, w))
     return build(items)
 
 
-def format_intervals(graph: IntervalGraph, with_weights: bool | None = None) -> str:
+def format_intervals(graph: IntervalGraph) -> str:
     """Serialize in the interval file format (vertices in construction order).
 
-    Weights are emitted as ``num den`` when any weight differs from 1, or when
-    forced via ``with_weights``.
+    Weights are emitted as ``num den`` when any weight differs from 1.
     """
-    if with_weights is None:
-        with_weights = any(w != 1 for w in graph.weight)
+    with_weights = any(w != 1 for w in graph.weight)
     out = [str(graph.n)]
     for nm, l, r, w in graph.records():
         li, ri = int(l), int(r)

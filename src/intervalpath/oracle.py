@@ -8,8 +8,6 @@ size guard keeps accidental misuse from burning hours.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import TooLarge
 from .intervals import IntervalGraph
 
@@ -80,10 +78,7 @@ def brute_longest_path(graph: IntervalGraph) -> tuple:
     return length, [graph.names[v] for v in path]
 
 
-def brute_max_weight_path(graph: IntervalGraph) -> Fraction:
-    """Exact maximum of sum(w(v)) over simple paths, as a Fraction."""
+def brute_max_weight_path(graph: IntervalGraph):
+    """Exact maximum of sum(w(v)) over simple paths, in the graph's weight type."""
     _guard(graph)
-    if graph.n == 0:
-        return Fraction(0)
-    weight, _ = _best_path(graph, list(graph.weight))
-    return Fraction(weight)
+    return _best_path(graph, list(graph.weight))[0]

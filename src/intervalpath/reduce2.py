@@ -5,9 +5,10 @@ the deletion set plus the endpoints of the first two and last two replacement
 intervals of every cell. Surviving free vertices are binned by which T-gap
 holds their left and which holds their right endpoint; each nonempty bin is
 swapped for min(bin size, deletion size + 4) copies of its span, the bin's
-weight split evenly among them. Copies are staircased inside the two outermost
-coordinate gaps of the span so they pairwise overlap, contain nothing, and
-keep exactly the span's adjacency to the rest of the graph.
+weight split evenly among them (an int share, or a Fraction only when the
+split is uneven). Copies are staircased inside the two outermost coordinate
+gaps of the span so they pairwise overlap, contain nothing, and keep exactly
+the span's adjacency to the rest of the graph.
 
 Coordinates stay integers: the reduced graph's endpoints are first scaled
 by 2n + 2, so every gap between them is empty and 2n + 2 wide. Copy j of a
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import EmptySet
-from .intervals import IntervalGraph, build, fresh_name, normalize_endpoints
+from .intervals import IntervalGraph, build, exact_weight, fresh_name, normalize_endpoints
 from .reduce1 import Stage1Result
 
 
@@ -168,7 +169,7 @@ def apply_rule2(
             nm = fresh_name(f"c{gi}_{j}", taken)
             taken.add(nm)
             names.append(nm)
-        clone_recs = _place_clones(span_l, span_r, total / count, names)
+        clone_recs = _place_clones(span_l, span_r, exact_weight(total, count), names)
         clones.extend(clone_recs)
         groups.append(
             CloneGroup(

@@ -16,14 +16,14 @@ every center that moved something, all 2n endpoints are re-spaced onto
 multiples of n + 1 in their current order, so the gaps just above r_u and
 just below l_u are empty and n + 1 wide. A batch holds at most n vertices,
 so its j-th member moves to r_u + j (or l_u - j) without meeting any other
-endpoint. The output is remapped onto 1..2n at the end.
+endpoint. Dividing the last re-spacing by n + 1 gives the output's 1..2n.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .intervals import IntervalGraph, build, normalize_endpoints
+from .intervals import IntervalGraph, build
 
 
 def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
@@ -101,10 +101,10 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         if dirty:
             rebuild()
 
-    out = build(
-        [(graph.names[v], left[v], right[v], graph.weight[v]) for v in range(n)]
+    return build(
+        (graph.names[v], left[v] // step, right[v] // step, graph.weight[v])
+        for v in range(n)
     )
-    return normalize_endpoints(out)
 
 
 def is_semi_proper(graph: IntervalGraph) -> bool:

@@ -1,7 +1,5 @@
 """Shared builders and tiny oracles for the test suite."""
 
-from fractions import Fraction
-
 from intervalpath.claws import DeletionSet
 from intervalpath.intervals import build
 from intervalpath.matching import SimpleGraph, simple_graph
@@ -143,5 +141,5 @@ def all_simple_paths(graph):
     return out
 
 
-def total_weight(graph, names) -> Fraction:
-    return sum((graph.weight[graph.by_name(nm)] for nm in names), Fraction(0))
+def total_weight(graph, names):
+    return sum(graph.weight[graph.by_name(nm)] for nm in names)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,17 @@ def test_split3():
     res = max_weight_path(split3_special())
     assert res.weight == 5
     assert res.path == ["a1", "b", "a2"]
+
+
+def test_table_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        res = max_weight_path(split3_special())
+        table = weakref.ref(res.table)
+        del res
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 def test_add_dummy_v0():

@@ -135,6 +135,20 @@ def test_format_weighted_round_trip():
     assert again.records() == g.records()
 
 
+@pytest.mark.parametrize(
+    "text, want, kind",
+    [("1\nx 1 4 6 2\n", 3, int), ("1\nx 1 4 3 2\n", Fraction(3, 2), Fraction)],
+)
+def test_parse_weight_is_an_int_when_integral(text, want, kind):
+    (w,) = parse_intervals(text).weight
+    assert w == want and type(w) is kind
+
+
+def test_build_stores_a_float_weight_exactly():
+    (w,) = build([("x", 1, 4, 0.5)]).weight
+    assert w == Fraction(1, 2) and type(w) is Fraction
+
+
 def test_parse_skips_comments_and_blank_lines():
     g = parse_intervals("# header\n2\n\na 1 4\n# middle\nb 3 6\n")
     assert [nm for nm, *_ in g.records()] == ["a", "b"]

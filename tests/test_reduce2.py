@@ -29,6 +29,14 @@ def int_coords(records):
     return all(type(c) is int for rec in records for c in (rec[1], rec[2]))
 
 
+def exact_weights(records):
+    # a Fraction only where the weight is not integral
+    return all(
+        type(w) is int or (type(w) is Fraction and w.denominator > 1)
+        for *_, w in records
+    )
+
+
 def test_weakly_reducible_triangle():
     g = build([("x", 0, 4, 1), ("y", 1, 5, 1), ("z", 2, 6, 1)])
     assert is_weakly_reducible(g, ["x", "y", "z"])
@@ -70,6 +78,15 @@ def test_crafted_groups_and_weights():
         per_clone = Fraction(len(grp.members), want)
         for clone in grp.clones:
             assert special.graph.weight[special.graph.by_name(clone)] == per_clone
+    gg = special.graph
+    shares = {
+        len(grp.members): [gg.weight[gg.by_name(c)] for c in grp.clones]
+        for grp in special.groups
+    }
+    assert shares[10] == [Fraction(5, 4)] * 8
+    assert all(type(w) is Fraction for w in shares[10])
+    assert shares[2] == [1, 1]
+    assert all(type(w) is int for w in shares[2])
     assert special.kappa == kappa_bound(len(deletion.marked) - 2)
 
 
@@ -155,8 +172,11 @@ def test_stage2_invariants_random(seed):
     assert named_edges(chain[-1]) == named_edges(special.graph)
     for graph in (st.widened, stage1.g_sharp, special.graph, *chain):
         assert int_coords(graph.records())
+    for graph in (st.widened, stage1.g_sharp, special.graph):
+        assert exact_weights(graph.records())
     for grp in special.groups:
         assert int_coords(grp.records)
+        assert exact_weights(grp.records)
 
 
 @pytest.mark.parametrize("seed", range(25))
