@@ -2,16 +2,23 @@
 
 Entries W[ξ][v_i, y] hold the best weight of a normal path ending at y among
 vertices squeezed between coordinate ξ and the right end of v_i. The sweep
-visits vertices in right-endpoint order; each entry is first seeded by
-inheriting from the stand-in vertex π (the latest independent-side neighbor
-before v_i), then challenged by paths threading v_i between an earlier leg
-and a tail.
+visits vertices in right-endpoint order; each entry is seeded by inheriting
+from the stand-in vertex π (the latest dependent-side neighbor before v_i),
+then challenged by paths threading v_i between an earlier leg and a tail.
 
-One deliberate deviation from the obvious loop layout: the challenge that
-appends the bare tail (v_i, y) after a leg ending before l_y does not depend
-on the split coordinate ζ, so it is applied once before the ζ loop instead of
-inside it. Leaving it inside would also skip it entirely whenever no ζ lands
-in (l_{v_i}, l_y], losing valid paths; hoisting fixes that and saves work.
+Each entry is written once. Its candidates are compared locally in a fixed
+order: INIT, COPY, SELF_APPEND, TAIL (the bare tail (v_i, y) after a leg
+ending before l_y, which needs no split coordinate ζ), then SPLIT by
+increasing ζ. A later candidate wins only if it is strictly heavier, except
+that equal SPLITs keep the leg end of lowest rank, then the lowest ζ.
+
+Two hoists keep each value computed once. Per sweep vertex v_i, the
+stand-ins π(y, v_i) of its earlier neighbors and the split tails
+W[ζ][π(y, v_i), y] for ζ in (l_{v_i}, l_y] are read before the ξ loop,
+since neither depends on ξ. Per (v_i, ξ), the best leg below each ζ is
+found once and shared by every y. Both are sound because every write made
+while sweeping v_i has v_i as its middle index, while every read has
+π(y, v_i), which ranks below v_i: what is read is final before v_i.
 """
 
 from __future__ import annotations
@@ -22,9 +29,6 @@ from dataclasses import dataclass, field, replace
 from .errors import CorruptParentChain, DoubleAugment, InvalidSpecialPartition
 from .intervals import IntervalGraph, build, fresh_name
 from .reduce2 import SpecialWeightedIntervalGraph
-
-_TAG = {"INIT": 0, "COPY": 1, "SELF_APPEND": 2, "TAIL": 3, "SPLIT": 4}
-
 
 @dataclass(frozen=True)
 class XiSet:
@@ -43,14 +47,15 @@ class DpResult:
 
 
 class PiTable:
-    """Memoized stand-ins: pi(u, v) is the latest dependent-side neighbor of u
-    strictly between u and v in right-endpoint order, or u itself."""
+    """Stand-ins: pi(u, v) is the latest dependent-side neighbor of u strictly
+    between u and v in right-endpoint order, or u itself. Each u's
+    dependent-side neighbors are cached; pi itself is not, since the sweep
+    asks for each pair once."""
 
     def __init__(self, graph: IntervalGraph, b_indices: set):
         self._g = graph
         self._b = b_indices
         self._bn: dict = {}
-        self.pi: dict = {}
 
     def _b_neighbors(self, u: int) -> list:
         got = self._bn.get(u)
@@ -60,15 +65,11 @@ class PiTable:
         return got
 
     def lookup(self, u: int, v: int) -> int:
-        key = (u, v)
-        got = self.pi.get(key)
-        if got is None:
-            rank = self._g.rank
-            got = u
-            for w in self._b_neighbors(u):
-                if rank[u] < rank[w] < rank[v]:
-                    got = w if rank[w] > rank[got] else got
-            self.pi[key] = got
+        rank = self._g.rank
+        got = u
+        for w in self._b_neighbors(u):
+            if rank[u] < rank[w] < rank[v]:
+                got = w if rank[w] > rank[got] else got
         return got
 
 
@@ -106,7 +107,6 @@ class DpTable:
     xi: XiSet
     W: dict = field(default_factory=dict)
     parent: dict = field(default_factory=dict)
-    keybreak: dict = field(default_factory=dict)
 
     def value(self, xi_coord, u_name: str, y_name: str):
         pos = self.xi.Xi.index(xi_coord)
@@ -185,95 +185,79 @@ def max_weight_path(
     g = special.graph
     xi = build_xi(g, special.A, special.B)
     xs_sorted = xi.Xi
-    b_idx = {g.by_name(nm) for nm in special.B}
-    pit = PiTable(g, b_idx)
+    pit = PiTable(g, {g.by_name(nm) for nm in special.B})
     table = DpTable(graph=g, xi=xi)
-    W, parent, keybreak = table.W, table.parent, table.keybreak
-    rank = g.rank
-    wt = g.weight
-
-    def read(pos: int, u: int, y: int, reader: int):
-        if trace_reads is not None:
-            trace_reads.append((reader, u))
-        return W.get((pos, u, y))
-
-    def offer(key, cand, tiebreak, par) -> None:
-        cur = W.get(key)
-        if cur is None or cand > cur or (cand == cur and tiebreak < keybreak[key]):
-            W[key] = cand
-            keybreak[key] = tiebreak
-            parent[key] = par
+    W, parent = table.W, table.parent
+    rank, left, right, wt = g.rank, g.left, g.right, g.weight
 
     for vi in g.sigma:
-        r_vi = g.right[vi]
-        l_vi = g.left[vi]
-        nbrs = [y for y in g.neighbors(vi) if rank[y] < rank[vi]]
-        for pos, x_coord in enumerate(xs_sorted):
-            if x_coord >= r_vi:
+        r_vi = right[vi]
+        l_vi = left[vi]
+        w_vi = wt[vi]
+        zlo = bisect_right(xs_sorted, l_vi)
+        ztop = zlo
+        # earlier neighbors y with pi(y, v_i) and, when y nests in v_i, its split tails
+        nbrs = []
+        for y in g.neighbors(vi):
+            if rank[y] >= rank[vi]:
                 break
-            inside = [y for y in nbrs if x_coord <= g.left[y]]
-            if x_coord <= l_vi:
-                offer((pos, vi, vi), wt[vi], (_TAG["INIT"], -1, -1), ("INIT",))
-            for y in inside:
-                p = pit.lookup(y, vi)
-                got = read(pos, p, y, vi)
-                if got is not None:
-                    offer((pos, vi, y), got, (_TAG["COPY"], -1, -1), ("COPY", p))
+            p = pit.lookup(y, vi)
+            if trace_reads is not None:
+                trace_reads.append((vi, p))
+            tails = None
+            if left[y] >= l_vi:
+                # (ζ offset from zlo, v_i's weight plus the tail from ζ)
+                tails = []
+                for zpos in range(zlo, bisect_right(xs_sorted, left[y])):
+                    tail = W.get((zpos, p, y))
+                    if tail is not None:
+                        tails.append((zpos - zlo, w_vi + tail))
+                if tails:
+                    ztop = max(ztop, zlo + tails[-1][0] + 1)
+            nbrs.append((y, p, left[y], right[y], tails))
 
+        for pos in range(bisect_left(xs_sorted, r_vi)):
+            x_coord = xs_sorted[pos]
+            inside = [nb for nb in nbrs if x_coord <= nb[2]]
+            vals = [W.get((pos, p, y)) for y, p, _, _, _ in inside]
             if x_coord > l_vi:
+                for (y, p, _, _, _), val in zip(inside, vals):
+                    if val is not None:
+                        W[pos, vi, y] = val
+                        parent[pos, vi, y] = ("COPY", p)
                 continue
 
-            cand_rights = []
-            cand_vals = []
-            cand_xs = []
-            for x in inside:
-                p = pit.lookup(x, vi)
-                val = read(pos, p, x, vi)
-                cand_rights.append(g.right[x])
-                cand_vals.append(val)
-                cand_xs.append((x, p))
-            legs = PrefixMaxTable(cand_rights, cand_vals, cand_xs)
-
+            legs = PrefixMaxTable(
+                [r_y for _, _, _, r_y, _ in inside], vals, [(y, p) for y, p, _, _, _ in inside]
+            )
+            best, par = w_vi, ("INIT",)
             got = legs.omega(r_vi)
-            if got is not None:
-                val, (x, p) = got
-                offer(
-                    (pos, vi, vi),
-                    val + wt[vi],
-                    (_TAG["SELF_APPEND"], rank[x], -1),
-                    ("SELF_APPEND", x, p),
-                )
+            if got is not None and got[0] + w_vi > best:
+                best, par = got[0] + w_vi, ("SELF_APPEND", *got[1])
+            W[pos, vi, vi] = best
+            parent[pos, vi, vi] = par
 
-            for y in inside:
-                l_y = g.left[y]
-                if l_y < l_vi:
-                    continue
-                got = legs.omega(l_y)
-                if got is not None:
-                    val, (x, p) = got
-                    offer(
-                        (pos, vi, y),
-                        val + wt[vi] + wt[y],
-                        (_TAG["TAIL"], rank[x], -1),
-                        ("TAIL", x, p),
-                    )
-                py = pit.lookup(y, vi)
-                zlo = bisect_right(xs_sorted, l_vi)
-                zhi = bisect_right(xs_sorted, l_y)
-                for zpos in range(zlo, zhi):
-                    got = legs.omega(xs_sorted[zpos])
-                    if got is None:
-                        continue
-                    tail = read(zpos, py, y, vi)
-                    if tail is None:
-                        continue
-                    val, (x, p) = got
-                    offer(
-                        (pos, vi, y),
-                        val + wt[vi] + tail,
-                        (_TAG["SPLIT"], rank[x], zpos),
-                        ("SPLIT", x, p, zpos, py),
-                    )
+            split_legs = [legs.omega(xs_sorted[zpos]) for zpos in range(zlo, ztop)]
+            for (y, p, l_y, _, tails), best in zip(inside, vals):
+                par = ("COPY", p)
+                if tails is not None:
+                    got = legs.omega(l_y)
+                    if got is not None:
+                        cand = got[0] + w_vi + wt[y]
+                        if best is None or cand > best:
+                            best, par = cand, ("TAIL", *got[1])
+                    brk = -1  # rank of the winning split's leg end; no split wins yet
+                    for zi, tail in tails:
+                        got = split_legs[zi]
+                        if got is None:
+                            continue
+                        cand = got[0] + tail
+                        if best is None or cand > best or (cand == best and rank[got[1][0]] < brk):
+                            best, brk = cand, rank[got[1][0]]
+                            par = ("SPLIT", *got[1], zlo + zi, p)
+                if best is not None:
+                    W[pos, vi, y] = best
+                    parent[pos, vi, y] = par
 
     v0_idx = g.by_name(special.v0)
     assert xs_sorted and xs_sorted[0] == g.left[v0_idx]
@@ -297,27 +281,33 @@ def reconstruct(table: DpTable, key) -> list:
     """Replay parent chains into the vertex-name path for a table entry."""
     if key not in table.W:
         raise CorruptParentChain(f"no entry for {key}")
-    return [table.graph.names[v] for v in _walk(table.parent, key)]
-
-
-def _walk(parent: dict, k) -> list:
-    # not nested in reconstruct: a recursive closure is a cycle holding the table
-    par = parent.get(k)
-    if par is None:
-        raise CorruptParentChain(f"no provenance for {k}")
-    pos, vi, y = k
-    tag = par[0]
-    if tag == "INIT":
-        return [vi]
-    if tag == "COPY":
-        return _walk(parent, (pos, par[1], y))
-    if tag == "SELF_APPEND":
-        _, x, p = par
-        return _walk(parent, (pos, p, x)) + [vi]
-    if tag == "TAIL":
-        _, x, p = par
-        return _walk(parent, (pos, p, x)) + [vi, y]
-    if tag == "SPLIT":
-        _, x, p, zpos, py = par
-        return _walk(parent, (pos, p, x)) + [vi] + _walk(parent, (zpos, py, y))
-    raise CorruptParentChain(f"unknown case {tag!r}")
+    parent, names = table.parent, table.graph.names
+    path = []
+    # keys still to expand and vertices still to emit, next one on top
+    todo = [key]
+    while todo:
+        k = todo.pop()
+        if not isinstance(k, tuple):
+            path.append(names[k])
+            continue
+        par = parent.get(k)
+        if par is None:
+            raise CorruptParentChain(f"no provenance for {k}")
+        pos, vi, y = k
+        tag = par[0]
+        if tag == "INIT":
+            path.append(names[vi])
+        elif tag == "COPY":
+            todo.append((pos, par[1], y))
+        elif tag == "SELF_APPEND":
+            _, x, p = par
+            todo += (vi, (pos, p, x))
+        elif tag == "TAIL":
+            _, x, p = par
+            todo += (y, vi, (pos, p, x))
+        elif tag == "SPLIT":
+            _, x, p, zpos, py = par
+            todo += ((zpos, py, y), vi, (pos, p, x))
+        else:
+            raise CorruptParentChain(f"unknown case {tag!r}")
+    return path

@@ -148,6 +148,7 @@ def longest_path(graph: IntervalGraph) -> PathResult:
         "d_size": stages.d_size,
         "kappa": stages.special.kappa,
         "b_size": len(stages.special.B),
+        "dp_entries": len(outcome.table.W),
         "t_preprocess_ns": stages.t_preprocess_ns,
         "t_reduce1_ns": stages.t_reduce1_ns,
         "t_reduce2_ns": stages.t_reduce2_ns,

@@ -6,8 +6,10 @@ import pytest
 
 from helpers import all_simple_paths, split3_special, total_weight
 from intervalpath.dp import (
+    DpTable,
     PiTable,
     PrefixMaxTable,
+    XiSet,
     add_dummy_v0,
     build_xi,
     max_weight_path,
@@ -68,6 +70,18 @@ def test_table_is_freed_without_the_cyclic_collector():
         assert table() is None
     finally:
         gc.enable()
+
+
+def test_reconstruct_replays_chains_longer_than_the_recursion_limit():
+    n = 3000
+    g = build([(f"v{i}", 2 * i, 2 * i + 3, 1) for i in range(n)])
+    table = DpTable(graph=g, xi=XiSet(xi_of={}, Xi=(0,)))
+    table.W[0, 0, 0] = 1
+    table.parent[0, 0, 0] = ("INIT",)
+    for v in range(1, n):
+        table.W[0, v, v] = v + 1
+        table.parent[0, v, v] = ("SELF_APPEND", v - 1, v - 1)
+    assert reconstruct(table, (0, n - 1, n - 1)) == [f"v{i}" for i in range(n)]
 
 
 def test_add_dummy_v0():

@@ -2,6 +2,7 @@ import pytest
 
 from helpers import crafted_special, total_weight
 from intervalpath import pipeline
+from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import build
@@ -15,6 +16,7 @@ STAT_KEYS = {
     "d_size",
     "kappa",
     "b_size",
+    "dp_entries",
     "t_preprocess_ns",
     "t_reduce1_ns",
     "t_reduce2_ns",
@@ -52,6 +54,13 @@ def test_stats_on_claw(claw4):
     assert res.stats["d_size"] == 4
     assert res.stats["kappa"] == 38286
     assert res.stats["b_size"] == 6
+
+
+@pytest.mark.parametrize("fixture", ["path3", "claw4"])
+def test_stats_report_the_dp_table_size(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    want = len(max_weight_path(run_stages(graph).special).table.W)
+    assert longest_path(graph).stats["dp_entries"] == want
 
 
 def test_rejects_weighted_input():
