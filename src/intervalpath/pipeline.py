@@ -2,13 +2,12 @@
 
 ``run_stages`` is the only place the stages before the DP are sequenced.
 
-Lifting retraces the reductions in reverse. Clone groups are undone against
-replayed intermediate graphs: the path is topped up with any clones it
-skipped, reordered into normal form, and the clone occurrences are swapped
-for the original vertices, the last one expanding into the whole remaining
-run. Collapsed clusters then reinflate in place. The lift never patches its
-output: the final check raises ``LiftFailure`` if the lifted sequence is not
-a path of the input realizing the computed weight.
+Lifting retraces the reductions in reverse. Every clone group on the DP path
+is swapped back for all of its members at once, and the lifted set is put
+in order by one normalization in G#; collapsed clusters then reinflate in
+place. The lift never patches its output: the final check raises
+``LiftFailure`` if the lifted sequence is not a path of the input realizing
+the computed weight.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .reduce2 import (
     SpecialWeightedIntervalGraph,
     apply_rule2,
     compute_stage2_families,
-    intermediate_graphs,
+    intermediate_graphs,  # unused by the lift; bench/spans.py hooks it by name
 )
 from .semiproper import make_semi_proper
 
@@ -81,32 +80,32 @@ def _renormalize(graph: IntervalGraph, names: list) -> list:
 
 
 def lift_stage2(path: list, special: SpecialWeightedIntervalGraph) -> list:
-    """Undo the clone swaps group by group, newest first."""
-    stages = intermediate_graphs(special)
-    cur = list(path)
-    for t in range(len(special.groups), 0, -1):
-        grp = special.groups[t - 1]
-        clone_set = set(grp.clones)
-        at = [i for i, nm in enumerate(cur) if nm in clone_set]
-        if not at:
-            continue
-        used = {cur[i] for i in at}
-        missing = [nm for nm in grp.clones if nm not in used]
-        cur = _renormalize(stages[t], cur[: at[-1] + 1] + missing + cur[at[-1] + 1 :])
-        members = grp.members
-        lifted = []
-        seen = 0
-        for nm in cur:
-            if nm not in clone_set:
-                lifted.append(nm)
-                continue
-            seen += 1
-            if seen < len(grp.clones):
-                lifted.append(members[seen - 1])
-            else:
-                lifted.extend(members[seen - 1 :])
-        cur = lifted
-    return cur
+    """Swap every clone group on the path back for all its members at once.
+
+    The path's non-clone names plus every member of each group with a clone
+    on the path are put in order by one normalization in G#, the graph after
+    rule 1. A path with no clone is returned unchanged.
+
+    Soundness: undoing the groups one at a time ends with exactly this set
+    as a path of G#, so by the normal-path lemma the set has one normal
+    order and ``normalize_path`` finds it. In a normal path the predecessor
+    of a rule-1 vertex a covers a's left end and the successor its right
+    end (a contains no other interval, endpoints are distinct, and a
+    neighbor crossing only the other end would break the greedy choice of an
+    earlier vertex or of the start). A cluster is a proper run spanning a,
+    so reinflating it in place keeps a path of the input. Should either step
+    fail anyway, the final check in ``longest_path`` raises.
+    """
+    owner = {nm: grp for grp in special.groups for nm in grp.clones}
+    chosen, used = [], set()
+    for nm in path:
+        grp = owner.get(nm)
+        if grp is None:
+            chosen.append(nm)
+        elif grp.key not in used:
+            used.add(grp.key)
+            chosen.extend(grp.members)
+    return _renormalize(special.g_sharp, chosen) if used else list(path)
 
 
 def lift_stage1(path: list, stage1: Stage1Result) -> list:

@@ -1,5 +1,7 @@
 """Shared builders and tiny oracles for the test suite."""
 
+import random
+
 from intervalpath.claws import DeletionSet
 from intervalpath.intervals import build
 from intervalpath.matching import SimpleGraph, simple_graph
@@ -35,6 +37,31 @@ def split3_special():
         B=frozenset({"b"}),
         kappa=5,
     )
+
+
+def heavy_tailed(n, seed):
+    """Unit intervals with heavy-tailed lengths, where the reductions do work.
+
+    Lefts are n distinct draws from 6n positions. Four lengths in five are
+    max(1, int(3 * Pareto(1.2))), the rest uniform in 1..10n, so most
+    intervals are short and a few span much of the line. A right endpoint
+    that would coincide with another endpoint moves right until it is free.
+    """
+    rng = random.Random(seed)
+    lefts = rng.sample(range(6 * n), n)
+    taken = set(lefts)
+    records = []
+    for i, left in enumerate(lefts):
+        if rng.random() < 0.8:
+            length = max(1, int(3 * rng.paretovariate(1.2)))
+        else:
+            length = rng.randint(1, 10 * n)
+        right = left + length
+        while right in taken:
+            right += 1
+        taken.add(right)
+        records.append((f"h{i}", left, right, 1))
+    return build(records)
 
 
 def crafted_special():

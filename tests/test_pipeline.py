@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import crafted_special, total_weight
+from helpers import crafted_special, heavy_tailed, total_weight
 from intervalpath import pipeline
 from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
@@ -104,6 +104,62 @@ def test_lift_stage2_disconnected_input_fails():
     both = ["c2_1", "c2_2"] + list(special.groups[0].clones)
     with pytest.raises(LiftFailure):
         lift_stage2(both, special)
+
+
+def _stage2_case(case):
+    if case == "crafted":
+        return crafted_special()[3]
+    # the instances of test_reduce2.py::test_stage2_invariants_random
+    g = generate(GeneratorSpec(kind="random", n=1 + case % 12, seed=case * 41 + 7))
+    return run_stages(g).special
+
+
+@pytest.mark.parametrize("case", ["crafted", *range(30)])
+def test_lift_stage2_is_the_normal_order_of_the_swapped_set(case):
+    special = _stage2_case(case)
+    path = max_weight_path(special).path
+    owner = {c: grp for grp in special.groups for c in grp.clones}
+    want = {nm for nm in path if nm not in owner}
+    for grp in {owner[nm].key: owner[nm] for nm in path if nm in owner}.values():
+        want |= set(grp.members)
+    lifted = lift_stage2(path, special)
+    assert len(lifted) == len(want) and set(lifted) == want
+    assert is_normal_path(special.g_sharp, lifted)
+
+
+def _planted200():
+    return generate(GeneratorSpec(kind="planted", n=200, k=3, seed=1))
+
+
+def _crafted_unit():
+    g = crafted_special()[0]
+    return build([(nm, l, r, 1) for nm, l, r, _ in g.records()])
+
+
+@pytest.mark.parametrize(
+    "make", [_crafted_unit, _planted200], ids=["crafted", "planted200"]
+)
+def test_lift_normalizes_at_most_once_per_solve(make, monkeypatch):
+    calls = []
+    real = pipeline.normalize_path
+
+    def counting(graph, names):
+        calls.append(len(names))
+        return real(graph, names)
+
+    monkeypatch.setattr(pipeline, "normalize_path", counting)
+    g = make()
+    res = longest_path(g)
+    assert is_path(g, res.path)
+    assert len(calls) <= 1
+
+
+def test_heavy_tailed_answers_match_brute_force():
+    for seed in range(400):
+        g = heavy_tailed(6 + seed % 9, seed)
+        res = longest_path(g)
+        assert res.length == brute_longest_path(g)[0], seed
+        assert is_path(g, res.path), seed
 
 
 def test_lift_stage1_reinflates_cluster(path3):
