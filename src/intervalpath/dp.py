@@ -19,15 +19,20 @@ since neither depends on ξ. Per (v_i, ξ), the best leg below each ζ is
 found once and shared by every y. Both are sound because every write made
 while sweeping v_i has v_i as its middle index, while every read has
 π(y, v_i), which ranks below v_i: what is read is final before v_i.
+
+The answer is read at the lowest ξ, the left end of the start vertex v0: a
+zero-weight dependent vertex that ends before every other interval begins,
+so every vertex lies above it. The special graph names v0 and the DP only
+checks it; rule 2 names the low sentinel d0 that ``add_dummies`` placed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import CorruptParentChain, DoubleAugment, InvalidSpecialPartition
-from .intervals import IntervalGraph, build, fresh_name
+from .errors import CorruptParentChain, InvalidSpecialPartition
+from .intervals import IntervalGraph
 from .reduce2 import SpecialWeightedIntervalGraph
 
 @dataclass(frozen=True)
@@ -108,26 +113,6 @@ class DpTable:
     W: dict = field(default_factory=dict)
     parent: dict = field(default_factory=dict)
 
-    def value(self, xi_coord, u_name: str, y_name: str):
-        pos = self.xi.Xi.index(xi_coord)
-        return self.W.get((pos, self.graph.by_name(u_name), self.graph.by_name(y_name)))
-
-
-def add_dummy_v0(special: SpecialWeightedIntervalGraph) -> SpecialWeightedIntervalGraph:
-    """Prepend an isolated zero-weight vertex below every other interval."""
-    if special.v0 is not None:
-        raise DoubleAugment("start dummy already added")
-    g = special.graph
-    name = fresh_name("v0", set(g.names))
-    lo = min(g.left) if g.n else 0
-    records = [(name, lo - 2, lo - 1, 0)] + g.records()
-    return replace(
-        special,
-        graph=build(records),
-        B=special.B | {name},
-        v0=name,
-    )
-
 
 def subgraph_contains(graph: IntervalGraph, xi, v_i: str, v: str) -> bool:
     """Is v squeezed between coordinate xi and the right end of v_i?"""
@@ -170,8 +155,14 @@ def _validate(special: SpecialWeightedIntervalGraph) -> None:
             a = a_sorted[pos]
             if a != v and g.left[a] < g.left[v] and g.right[v] < g.right[a]:
                 raise InvalidSpecialPartition("interval nested inside the independent side")
-    allowance = len(special.B) - (1 if special.v0 else 0)
-    if allowance > special.kappa:
+    if special.v0 not in special.B:
+        raise InvalidSpecialPartition(f"start vertex {special.v0!r} is not on the dependent side")
+    start = g.by_name(special.v0)
+    if g.weight[start] != 0:
+        raise InvalidSpecialPartition("start vertex has nonzero weight")
+    if any(g.left[v] < g.right[start] for v in range(g.n) if v != start):
+        raise InvalidSpecialPartition("start vertex does not end before every other interval")
+    if len(special.B) > special.kappa:
         raise InvalidSpecialPartition("dependent side exceeds its budget")
 
 
@@ -180,8 +171,6 @@ def max_weight_path(
 ) -> DpResult:
     """Best-weight path of the special graph, with parent chains for replay."""
     _validate(special)
-    if special.v0 is None:
-        special = add_dummy_v0(special)
     g = special.graph
     xi = build_xi(g, special.A, special.B)
     xs_sorted = xi.Xi

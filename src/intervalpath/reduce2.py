@@ -54,6 +54,14 @@ class CloneGroup:
 
 @dataclass(frozen=True)
 class SpecialWeightedIntervalGraph:
+    """The DP's input: A is independent and nests nothing, and |B| <= kappa.
+
+    ``v0`` names the start vertex the DP reads its answer from, a
+    zero-weight B vertex ending before every other interval begins. Rule 2
+    sets it to the low sentinel d0; a hand-built special graph passes its
+    own, and the DP rejects one without it.
+    """
+
     graph: IntervalGraph
     A: frozenset
     B: frozenset
@@ -92,17 +100,6 @@ def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
     return True
 
 
-def _cell_a_names(stage1: Stage1Result) -> dict:
-    """Replacement-vertex names per cell, in component order."""
-    a_order = list(stage1.back_map)
-    out = {}
-    pos = 0
-    for key, comps in stage1.families.components.items():
-        out[key] = a_order[pos : pos + len(comps)]
-        pos += len(comps)
-    return out
-
-
 def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
     """Assemble the grid T and bin the surviving free vertices by gap pair."""
     g = stage1.g_sharp
@@ -111,11 +108,12 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
         v = g.by_name(nm)
         points.add(g.left[v])
         points.add(g.right[v])
-    for names in _cell_a_names(stage1).values():
-        q = len(names)
+    a_of = {comp: name for name, comp in stage1.back_map.items()}
+    for comps in stage1.families.components.values():
+        q = len(comps)
         picks = sorted({0, 1, q - 2, q - 1} & set(range(q)))
         for t in picks:
-            v = g.by_name(names[t])
+            v = g.by_name(a_of[comps[t]])
             points.add(g.left[v])
             points.add(g.right[v])
     t_sorted = sorted(points)
@@ -191,6 +189,7 @@ def apply_rule2(
         kappa=kappa,
         groups=tuple(groups),
         g_sharp=g,
+        v0=deletion.dummies[0],
     )
 
 

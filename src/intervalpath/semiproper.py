@@ -38,14 +38,12 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     right = list(graph.right)
     z1 = [-1] * n
     z2 = [-1] * n
-    nbrs = [graph.neighbors(v) for v in range(n)]
     for u in range(n):
-        for w in nbrs[u]:
+        for w in graph.neighbors(u):
             if z1[u] < 0 or graph.right[w] < graph.right[z1[u]]:
                 z1[u] = w
             if z2[u] < 0 or graph.left[w] > graph.left[z2[u]]:
                 z2[u] = w
-    adj = [set(a) for a in nbrs]
 
     step = n + 1
     # snapshot of the current coordinates for an O(log n) nesting test
@@ -72,7 +70,8 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         return i < n and sufmin[i] < right[u]
 
     def tied(v: int, z: int) -> bool:
-        return z == v or z in adj[v]
+        # the input's edges, which stretching preserves
+        return z == v or graph.adjacent(v, z)
 
     rebuild()
 

@@ -29,13 +29,15 @@ def two_claws():
 
 
 def split3_special():
-    """One wide dependent interval bridging two heavy independent ones."""
-    g = build([("a1", 0, 2, 2), ("b", 1, 10, 1), ("a2", 8, 11, 2)])
+    """One wide dependent interval bridging two heavy independent ones, above
+    the start vertex v0."""
+    g = build([("v0", -2, -1, 0), ("a1", 0, 2, 2), ("b", 1, 10, 1), ("a2", 8, 11, 2)])
     return SpecialWeightedIntervalGraph(
         graph=g,
         A=frozenset({"a1", "a2"}),
-        B=frozenset({"b"}),
+        B=frozenset({"b", "v0"}),
         kappa=5,
+        v0="v0",
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -207,3 +210,13 @@ def test_match_garbage(runner, tmp_path):
     f.write_text("who knows\n")
     res = runner.invoke(main, ["match", str(f), "--k", "1"])
     assert res.exit_code == 2
+
+
+def test_demo_script_agrees_with_brute_force():
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "demo.py"
+    out = subprocess.run(
+        [sys.executable, str(demo), "--kind", "random", "--n", "12"],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert "DP entries" in out
+    assert "(agrees)" in out

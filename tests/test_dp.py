@@ -10,13 +10,12 @@ from intervalpath.dp import (
     PiTable,
     PrefixMaxTable,
     XiSet,
-    add_dummy_v0,
     build_xi,
     max_weight_path,
     reconstruct,
     subgraph_contains,
 )
-from intervalpath.errors import DoubleAugment, InvalidSpecialPartition
+from intervalpath.errors import InvalidSpecialPartition
 from intervalpath.generators import Lcg
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
@@ -26,11 +25,13 @@ from intervalpath.reduce2 import SpecialWeightedIntervalGraph
 
 
 def special_of(records, a_names, kappa=None):
-    g = build(records)
+    """Special graph on the records plus a start vertex v0 below them all."""
+    lo = min((rec[1] for rec in records), default=0)
+    g = build([("v0", lo - 2, lo - 1, 0), *records])
     a = frozenset(a_names)
     b = frozenset(g.names) - a
     return SpecialWeightedIntervalGraph(
-        graph=g, A=a, B=b, kappa=len(b) if kappa is None else kappa
+        graph=g, A=a, B=b, kappa=len(b) if kappa is None else kappa, v0="v0"
     )
 
 
@@ -84,20 +85,6 @@ def test_reconstruct_replays_chains_longer_than_the_recursion_limit():
     assert reconstruct(table, (0, n - 1, n - 1)) == [f"v{i}" for i in range(n)]
 
 
-def test_add_dummy_v0():
-    sp = split3_special()
-    out = add_dummy_v0(sp)
-    assert out.v0 is not None
-    assert out.v0 in out.B
-    assert len(out.B) == len(sp.B) + 1
-    g = out.graph
-    i = g.by_name(out.v0)
-    assert g.weight[i] == 0 and not g.neighbors(i) and g.sigma[0] == i
-    assert max_weight_path(out).weight == max_weight_path(sp).weight
-    with pytest.raises(DoubleAugment):
-        add_dummy_v0(out)
-
-
 def test_subgraph_contains_boundaries():
     g = build([("x", 2, 5, 1), ("y", 3, 8, 1)])
     assert subgraph_contains(g, 2, "x", "x")
@@ -109,15 +96,15 @@ def test_subgraph_contains_boundaries():
 def test_build_xi_split3():
     sp = split3_special()
     xi = build_xi(sp.graph, sp.A, sp.B)
-    assert xi.xi_of == {"b": 0}
-    assert xi.Xi == (0, 1)
+    assert xi.xi_of == {"b": 0, "v0": -2}
+    assert xi.Xi == (-2, 0, 1)
 
 
 def test_build_xi_outside_a_keeps_own_left():
     sp = special_of([("a1", 0, 2, 2), ("b", 3, 10, 1)], ["a1"])
     xi = build_xi(sp.graph, sp.A, sp.B)
-    assert xi.xi_of == {"b": 3}
-    assert xi.Xi == (3,)
+    assert xi.xi_of == {"b": 3, "v0": -2}
+    assert xi.Xi == (-2, 3)
 
 
 def test_xi_size_bound_random():
@@ -192,7 +179,8 @@ def test_prefix_max_recurrence():
 
 
 def random_special(lcg):
-    """Small special graph: disjoint heavy intervals plus free-form ones."""
+    """Small special graph: disjoint heavy intervals plus free-form ones, all
+    above the start vertex v0."""
     while True:
         na = lcg.randrange(4)
         nb = 1 + lcg.randrange(4)
@@ -218,7 +206,7 @@ def random_special(lcg):
             if l == r:
                 continue
             recs.append((f"b{j}", l, r, Fraction(1 + lcg.randrange(8), 1 + lcg.randrange(2))))
-        g = build(recs)
+        g = build([("v0", -2, -1, 0), *recs])
         a = frozenset(nm for nm in g.names if nm.startswith("a"))
         ok = True
         for v in range(g.n):
@@ -229,10 +217,10 @@ def random_special(lcg):
             for y in a:
                 if x != y and g.adjacent(g.by_name(x), g.by_name(y)):
                     ok = False
-        if not ok or g.n == 0:
+        if not ok or not recs:
             continue
         b = frozenset(g.names) - a
-        return SpecialWeightedIntervalGraph(graph=g, A=a, B=b, kappa=len(b))
+        return SpecialWeightedIntervalGraph(graph=g, A=a, B=b, kappa=len(b), v0="v0")
 
 
 def test_dp_matches_brute_force_on_random_specials():
@@ -306,23 +294,36 @@ def test_reads_never_touch_later_vertices():
 
 
 def test_invalid_partitions_rejected():
-    g = build([("a1", 0, 3, 1), ("a2", 2, 5, 1)])
-    sp = SpecialWeightedIntervalGraph(
-        graph=g, A=frozenset({"a1", "a2"}), B=frozenset(), kappa=3
-    )
-    with pytest.raises(InvalidSpecialPartition):
+    sp = special_of([("a1", 0, 3, 1), ("a2", 2, 5, 1)], ["a1", "a2"], kappa=3)
+    with pytest.raises(InvalidSpecialPartition, match="independent side has an edge"):
         max_weight_path(sp)
 
-    g2 = build([("a1", 0, 9, 1), ("b1", 2, 5, 1)])
-    sp2 = SpecialWeightedIntervalGraph(
-        graph=g2, A=frozenset({"a1"}), B=frozenset({"b1"}), kappa=3
-    )
-    with pytest.raises(InvalidSpecialPartition):
+    sp2 = special_of([("a1", 0, 9, 1), ("b1", 2, 5, 1)], ["a1"], kappa=3)
+    with pytest.raises(InvalidSpecialPartition, match="nested inside the independent side"):
         max_weight_path(sp2)
 
-    g3 = build([("b1", 0, 1, 1), ("b2", 2, 3, 1)])
-    sp3 = SpecialWeightedIntervalGraph(
-        graph=g3, A=frozenset(), B=frozenset({"b1", "b2"}), kappa=1
-    )
-    with pytest.raises(InvalidSpecialPartition):
+    # v0 counts against the budget: three dependent vertices need kappa 3
+    sp3 = special_of([("b1", 0, 1, 1), ("b2", 2, 3, 1)], [], kappa=2)
+    with pytest.raises(InvalidSpecialPartition, match="exceeds its budget"):
         max_weight_path(sp3)
+    assert max_weight_path(special_of([("b1", 0, 1, 1), ("b2", 2, 3, 1)], [], kappa=3)).weight == 1
+
+
+@pytest.mark.parametrize(
+    "records, v0, message",
+    [
+        ([("b1", 0, 3, 1)], None, "start vertex None is not on the dependent side"),
+        ([("b1", 0, 3, 1)], "b9", "start vertex 'b9' is not on the dependent side"),
+        ([("s", -2, -1, 1), ("b1", 0, 3, 1)], "s", "nonzero weight"),
+        ([("s", -2, 1, 0), ("b1", 0, 3, 1)], "s", "does not end before every other interval"),
+        ([("s", 5, 6, 0), ("b1", 0, 3, 1)], "s", "does not end before every other interval"),
+    ],
+    ids=["missing", "unknown", "weighted", "overlapping", "not-first"],
+)
+def test_invalid_start_vertex_rejected(records, v0, message):
+    g = build(records)
+    sp = SpecialWeightedIntervalGraph(
+        graph=g, A=frozenset(), B=frozenset(g.names), kappa=g.n, v0=v0
+    )
+    with pytest.raises(InvalidSpecialPartition, match=message):
+        max_weight_path(sp)

@@ -63,6 +63,16 @@ def test_stats_report_the_dp_table_size(fixture, request):
     assert longest_path(graph).stats["dp_entries"] == want
 
 
+@pytest.mark.parametrize("fixture", ["path3", "claw4"])
+def test_dp_starts_from_the_low_sentinel(fixture, request):
+    st = run_stages(request.getfixturevalue(fixture))
+    table = max_weight_path(st.special).table
+    g = st.special.graph
+    assert table.graph is g
+    assert st.special.v0 == st.deletion.dummies[0]
+    assert table.xi.Xi[0] == g.left[g.by_name(st.deletion.dummies[0])]
+
+
 def test_rejects_weighted_input():
     g = build([("a", 1, 4, 2), ("b", 3, 6, 1)])
     with pytest.raises(InvalidSpec):

@@ -4,10 +4,12 @@ from math import comb
 import pytest
 
 from helpers import crafted_special, total_weight
+from intervalpath.claws import DeletionSet
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
 from intervalpath.pipeline import run_stages
+from intervalpath.reduce1 import apply_rule1, compute_stage1_families
 from intervalpath.reduce2 import (
     compute_stage2_families,
     intermediate_graphs,
@@ -67,6 +69,20 @@ def test_stage2_path3_is_trivial(path3):
     assert special.A == {"a1"}
     assert special.B == set(deletion.marked)
     assert special.kappa == 722
+
+
+def test_grid_takes_the_two_outer_clusters_of_each_cell():
+    # five disjoint clusters in one cell collapse to a1..a5 at (3, 4)..(11, 12)
+    records = [("d0", 0, 1, 0), ("d1", 100, 101, 0)]
+    records += [(f"u{j}", 10 * j + 2, 10 * j + 5, 1) for j in range(5)]
+    g = build(records)
+    deletion = DeletionSet(
+        marked=frozenset({"d0", "d1"}), certificates=(), dummies=("d0", "d1")
+    )
+    stage1 = apply_rule1(g, compute_stage1_families(g, deletion))
+    fam = compute_stage2_families(stage1, deletion)
+    # the middle cluster a3 at (7, 8) is left out
+    assert fam.T == (1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14)
 
 
 def test_crafted_groups_and_weights():
