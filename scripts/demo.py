@@ -28,8 +28,8 @@ def main() -> None:
     print("  " + " ".join(result.path))
     s = result.stats
     print(
-        f"deletion set {s['d_size']}, kappa {s['kappa']}, dependent side {s['b_size']}, "
-        f"DP entries {s['dp_entries']}"
+        f"deletion set {s['d_size']} (greedy {s['d_approx']}), kappa {s['kappa']}, "
+        f"dependent side {s['b_size']}, DP entries {s['dp_entries']}"
     )
     for stage in ("preprocess", "reduce1", "reduce2", "dp", "lift"):
         print(f"  {stage:<10} {s[f't_{stage}_ns'] / 1e6:8.2f} ms")

@@ -1,6 +1,7 @@
 """Claw-centered machinery: detection, the linear-time 4-approximate deletion
-set with packing certificates, an exact branching solver, properness tests,
-and the two sentinel intervals later stages rely on.
+set with packing certificates, its pruning to an inclusion-minimal set, an
+exact branching solver, properness tests, and the two sentinel intervals
+later stages rely on.
 
 The detection trick: among a center's live neighbors, only the one with the
 smallest right endpoint and the one with the largest left endpoint can serve
@@ -28,8 +29,9 @@ class ClawWitness:
 class DeletionSet:
     """Vertices whose removal leaves a proper representation.
 
-    ``certificates`` holds vertex-disjoint claws packed during the greedy
-    round, one per four deleted vertices; exact solving leaves it empty.
+    ``certificates`` holds the vertex-disjoint claws packed during the greedy
+    round; the greedy set is their union, and after pruning ``marked`` is a
+    subset of it. Exact solving leaves it empty.
     ``dummies`` is None until the two sentinels are appended.
     """
 
@@ -38,8 +40,9 @@ class DeletionSet:
     dummies: tuple | None = None
 
 
-def _claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
-    """Leaves of some induced claw centered at u within ``alive``, or None."""
+def _extremes(graph: IntervalGraph, u: int, alive) -> tuple:
+    """(z1, z2): u's live neighbor with the smallest right end and the one
+    with the largest left end, -1 for none."""
     z1 = z2 = -1
     for w in graph.neighbors(u):
         if not alive[w]:
@@ -48,6 +51,11 @@ def _claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
             z1 = w
         if z2 < 0 or graph.left[w] > graph.left[z2]:
             z2 = w
+    return z1, z2
+
+
+def _middle_leaf(graph: IntervalGraph, u: int, z1: int, z2: int, alive) -> tuple | None:
+    """Leaves of a claw at u with outer leaves u's extremes z1, z2, or None."""
     if z1 < 0 or z1 == z2 or graph.adjacent(z1, z2):
         return None
     for v in graph.neighbors(u):
@@ -56,6 +64,12 @@ def _claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
         if not graph.adjacent(v, z1) and not graph.adjacent(v, z2):
             return (v, z1, z2)
     return None
+
+
+def _claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
+    """Leaves of some induced claw centered at u within ``alive``, or None."""
+    z1, z2 = _extremes(graph, u, alive)
+    return _middle_leaf(graph, u, z1, z2, alive)
 
 
 def _witness(graph: IntervalGraph, u: int, leaves: tuple) -> ClawWitness:
@@ -107,6 +121,64 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
         names = tuple(graph.names[w] for w in sorted(leaves, key=rk.__getitem__))
         certs.append(ClawWitness(graph.names[u], names))
     return DeletionSet(frozenset(deleted), tuple(certs))
+
+
+def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionSet:
+    """Put back every marked vertex whose return creates no claw.
+
+    Candidates go in decreasing rank order against a claw-free G - D. A claw
+    created by putting v back contains v, so it is centered at v or at a live
+    neighbor w with v as a leaf. ``ext`` caches each live w's extremes, filled
+    the first time a candidate touches w (with the candidate still dead) and
+    updated when a neighbor goes back. If v becomes neither extreme of w, the
+    outer leaves stay z1, z2 and v can only be the middle leaf: an O(1) test.
+    Otherwise the leaf scan at w decides.
+
+    A rejected vertex lies on a claw that later put-backs cannot break, so the
+    kept set is inclusion-minimal. Certificates still describe the greedy set.
+    """
+    left, right, adjacent = graph.left, graph.right, graph.adjacent
+    alive = [True] * graph.n
+    for nm in deletion.marked:
+        alive[graph.by_name(nm)] = False
+    ext = {}
+
+    def creates_claw(v: int, moved: list) -> bool:
+        for w in graph.neighbors(v):
+            if not alive[w]:
+                continue
+            z = ext.get(w)
+            if z is None:
+                alive[v] = False
+                z = ext[w] = _extremes(graph, w, alive)
+                alive[v] = True
+            z1, z2 = z
+            n1 = v if z1 < 0 or right[v] < right[z1] else z1
+            n2 = v if z2 < 0 or left[v] > left[z2] else z2
+            if n1 == z1 and n2 == z2:
+                if z1 != z2 and not (
+                    adjacent(z1, z2) or adjacent(v, z1) or adjacent(v, z2)
+                ):
+                    return True
+            else:
+                moved.append((w, (n1, n2)))
+                if _middle_leaf(graph, w, n1, n2, alive) is not None:
+                    return True
+        return False
+
+    kept = []
+    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    for v in reversed(order):
+        alive[v] = True
+        z = _extremes(graph, v, alive)
+        moved = []
+        if _middle_leaf(graph, v, *z, alive) is not None or creates_claw(v, moved):
+            alive[v] = False
+            kept.append(graph.names[v])
+        else:
+            ext[v] = z
+            ext.update(moved)
+    return DeletionSet(frozenset(kept), deletion.certificates)
 
 
 def exact_deletion_set(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .claws import DeletionSet, add_dummies, approx_deletion_set
+from .claws import DeletionSet, add_dummies, approx_deletion_set, prune_deletion_set
 from .dp import max_weight_path
 from .errors import InvalidSpec, LiftFailure, NormalizationFailed
 from .intervals import IntervalGraph, normalize_endpoints
@@ -40,7 +40,8 @@ class PathResult:
 @dataclass(frozen=True)
 class Stages:
     """What the stages before the DP build, with their timings. ``deletion``
-    includes the sentinels; ``d_size`` counts it without them."""
+    is the pruned set plus the sentinels; ``d_size`` counts it without them,
+    and ``d_approx`` counts the greedy set before pruning."""
 
     normal: IntervalGraph
     widened: IntervalGraph
@@ -48,17 +49,19 @@ class Stages:
     stage1: Stage1Result
     special: SpecialWeightedIntervalGraph
     d_size: int
+    d_approx: int
     t_preprocess_ns: int
     t_reduce1_ns: int
     t_reduce2_ns: int
 
 
 def run_stages(graph: IntervalGraph) -> Stages:
-    """Preprocess, find the deletion set, and apply both reductions."""
+    """Preprocess, find and prune the deletion set, and apply both reductions."""
     t0 = time.perf_counter_ns()
     normal = normalize_endpoints(graph)
     semi = make_semi_proper(normal)
-    deletion = approx_deletion_set(semi)
+    greedy = approx_deletion_set(semi)
+    deletion = prune_deletion_set(semi, greedy)
     d_size = len(deletion.marked)
     widened, deletion = add_dummies(semi, deletion)
     t1 = time.perf_counter_ns()
@@ -69,7 +72,10 @@ def run_stages(graph: IntervalGraph) -> Stages:
     special = apply_rule2(stage1, compute_stage2_families(stage1, deletion), deletion)
     t3 = time.perf_counter_ns()
 
-    return Stages(normal, widened, deletion, stage1, special, d_size, t1 - t0, t2 - t1, t3 - t2)
+    return Stages(
+        normal, widened, deletion, stage1, special,
+        d_size, len(greedy.marked), t1 - t0, t2 - t1, t3 - t2,
+    )
 
 
 def _renormalize(graph: IntervalGraph, names: list) -> list:
@@ -145,6 +151,7 @@ def longest_path(graph: IntervalGraph) -> PathResult:
         # same edge set as the input; preprocessing already built its adjacency
         "m": stages.normal.edge_count(),
         "d_size": stages.d_size,
+        "d_approx": stages.d_approx,
         "kappa": stages.special.kappa,
         "b_size": len(stages.special.B),
         "dp_entries": len(outcome.table.W),

@@ -2,7 +2,7 @@
 
 import random
 
-from intervalpath.claws import DeletionSet
+from intervalpath.claws import DeletionSet, _claw_leaves
 from intervalpath.intervals import build
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
@@ -64,6 +64,22 @@ def heavy_tailed(n, seed):
         taken.add(right)
         records.append((f"h{i}", left, right, 1))
     return build(records)
+
+
+def naive_prune(graph, deletion):
+    """Reference put-back for ``claws.prune_deletion_set``: in decreasing rank
+    order, return each marked vertex unless the leaf scan finds a claw at it or
+    at any live neighbor. O(deg v * deg w) per candidate, no cached extremes."""
+    alive = [nm not in deletion.marked for nm in graph.names]
+    kept = set()
+    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    for v in reversed(order):
+        alive[v] = True
+        centers = [v] + [w for w in graph.neighbors(v) if alive[w]]
+        if any(_claw_leaves(graph, c, alive) is not None for c in centers):
+            alive[v] = False
+            kept.add(graph.names[v])
+    return frozenset(kept)
 
 
 def crafted_special():

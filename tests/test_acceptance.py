@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, one visible verdict line each.
+"""Acceptance gate: ten end-to-end checks, one visible verdict line each.
 
 Corpora are generated once per session and shared across criteria; every
 seed is fixed so reruns see the same instances.
@@ -10,10 +10,15 @@ from math import comb
 from statistics import median
 
 from helpers import mm_brute, rand_simple
-from test_claws import induces_claw
+from test_claws import induces_claw, residual
 from test_paths import lemma_violations, normal_paths_of
 
-from intervalpath.claws import approx_deletion_set, exact_deletion_set
+from intervalpath.claws import (
+    approx_deletion_set,
+    exact_deletion_set,
+    find_claw,
+    prune_deletion_set,
+)
 from intervalpath.dp import max_weight_path
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import normalize_endpoints
@@ -66,6 +71,19 @@ def _staged(name):
     return got
 
 
+def _exact_planted():
+    """(semi-proper graph, minimum deletion set or None) per planted instance."""
+    key = ("exact", "planted")
+    got = _cache.get(key)
+    if got is None:
+        got = []
+        for g in _corpus("planted"):
+            semi = make_semi_proper(normalize_endpoints(g))
+            got.append((semi, exact_deletion_set(semi, k_max=5)))
+        _cache[key] = got
+    return got
+
+
 def _verdict(capsys, num, label, ok, detail):
     with capsys.disabled():
         print(f"\ncriterion {num} ({label}): {'PASS' if ok else 'FAIL'} [{detail}]")
@@ -97,9 +115,7 @@ def test_criterion_2_proper_is_hamiltonian(capsys):
 def test_criterion_3_deletion_set_within_four_times_optimum(capsys):
     worst = 0.0
     ok = True
-    for g in _corpus("planted"):
-        semi = make_semi_proper(normalize_endpoints(g))
-        exact = exact_deletion_set(semi, k_max=5)
+    for semi, exact in _exact_planted():
         if exact is None:
             ok = False
             break
@@ -121,6 +137,29 @@ def test_criterion_3_deletion_set_within_four_times_optimum(capsys):
     _verdict(
         capsys, 3, "4-approximation with disjoint claw certificates", ok,
         f"100 planted instances, worst ratio {worst:.2f}",
+    )
+
+
+def test_criterion_10_pruned_deletion_set(capsys):
+    """Pruning keeps G - D claw-free and lands between the optimum and the
+    greedy set; how often it reaches the optimum is reported, not gated."""
+    ok = True
+    at_opt = 0
+    for semi, exact in _exact_planted():
+        if exact is None:
+            ok = False
+            break
+        greedy = approx_deletion_set(semi)
+        pruned = prune_deletion_set(semi, greedy).marked
+        ok = ok and pruned <= greedy.marked
+        ok = ok and find_claw(residual(semi, pruned)) is None
+        ok = ok and len(exact.marked) <= len(pruned) <= len(greedy.marked)
+        at_opt += len(pruned) == len(exact.marked)
+        if not ok:
+            break
+    _verdict(
+        capsys, 10, "pruned deletion set is claw-free and no larger", ok,
+        f"100 planted instances, {at_opt}/100 at the optimum",
     )
 
 

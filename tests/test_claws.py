@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import two_claws
+from helpers import heavy_tailed, naive_prune, two_claws
 from intervalpath.claws import (
     add_dummies,
     approx_deletion_set,
@@ -8,6 +8,7 @@ from intervalpath.claws import (
     find_claw,
     find_claw_at,
     is_proper_representation,
+    prune_deletion_set,
 )
 from intervalpath.errors import BudgetExceeded, DoubleAugment
 from intervalpath.generators import GeneratorSpec, generate
@@ -84,6 +85,44 @@ def test_approx_invariants_on_random_instances(seed):
         assert not (vs & union)
         union |= vs
     assert union == d.marked
+
+
+def test_prune_claw4(claw4):
+    greedy = approx_deletion_set(claw4)
+    d = prune_deletion_set(claw4, greedy)
+    assert d.marked == {"v1"}
+    assert d.certificates == greedy.certificates
+    assert d.dummies is None
+
+
+def test_prune_two_disjoint_claws():
+    g = two_claws()
+    greedy = approx_deletion_set(g)
+    d = prune_deletion_set(g, greedy)
+    assert d.marked == {"v1", "w1"}
+    assert d.certificates == greedy.certificates
+
+
+def _prune_instances(family):
+    if family == "random":
+        # the instances of test_approx_invariants_on_random_instances
+        return [
+            generate(GeneratorSpec(kind="random", n=4 + s % 11, seed=s * 13 + 2))
+            for s in range(30)
+        ]
+    return [heavy_tailed(6 + s % 30, s) for s in range(200)]
+
+
+@pytest.mark.parametrize("family", ["random", "heavy_tailed"])
+def test_prune_is_an_inclusion_minimal_subset(family):
+    for i, g in enumerate(_prune_instances(family)):
+        greedy = approx_deletion_set(g)
+        kept = prune_deletion_set(g, greedy).marked
+        assert kept <= greedy.marked, i
+        assert find_claw(residual(g, kept)) is None, i
+        for v in kept:
+            assert find_claw(residual(g, kept - {v})) is not None, (i, v)
+        assert kept == naive_prune(g, greedy), i
 
 
 def test_exact_claw4(claw4):

@@ -14,6 +14,7 @@ STAT_KEYS = {
     "n",
     "m",
     "d_size",
+    "d_approx",
     "kappa",
     "b_size",
     "dp_entries",
@@ -50,10 +51,12 @@ def test_stats_keys_and_counts(path3):
 
 
 def test_stats_on_claw(claw4):
+    """The greedy deletes the whole claw; pruning keeps one leaf of it."""
     res = longest_path(claw4)
-    assert res.stats["d_size"] == 4
-    assert res.stats["kappa"] == 38286
-    assert res.stats["b_size"] == 6
+    assert res.stats["d_approx"] == 4
+    assert res.stats["d_size"] == 1
+    assert res.stats["kappa"] == 3930
+    assert res.stats["b_size"] == 4
 
 
 @pytest.mark.parametrize("fixture", ["path3", "claw4"])
@@ -177,10 +180,17 @@ def test_lift_stage1_reinflates_cluster(path3):
     assert lift_stage1(["a1"], stage1) == ["a", "b", "c"]
 
 
-def test_lift_stage1_without_clusters(claw4):
-    stage1 = run_stages(claw4).stage1
+def test_lift_stage1_without_clusters():
+    stage1 = crafted_special()[2]
     assert stage1.back_map == {}
-    assert lift_stage1(["u", "v2"], stage1) == ["u", "v2"]
+    assert lift_stage1(["u0", "dm1"], stage1) == ["u0", "dm1"]
+
+
+def test_lift_stage1_reinflates_a_pruned_claw(claw4):
+    """With only v1 deleted, claw4's other leaves become one-vertex clusters."""
+    stage1 = run_stages(claw4).stage1
+    assert stage1.back_map == {"a1": ("v2",), "a2": ("v3",)}
+    assert lift_stage1(["v1", "u", "a1"], stage1) == ["v1", "u", "v2"]
 
 
 def test_lifted_paths_are_sound():
