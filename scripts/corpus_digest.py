@@ -1,0 +1,90 @@
+"""Print one sha256 over what the solver computes on a fixed 800-instance corpus.
+
+The corpus:
+  - 400 ``random`` instances, seed s = 0..399, n = 1 + s % 60;
+  - 40 ``planted`` instances, n = 200 + 7i, k = 1 + i % 5, seed 500 + i;
+  - 60 combs (``bench/comb.make_comb``) from ``random.Random(7)``, blocks
+    3 + i % 4, stairs (20 + 7i, 50 + 7i);
+  - 300 ``tests/helpers.heavy_tailed(6 + s % 30, s)``.
+
+Per instance the digest covers the semi-proper records and neighbor lists,
+the greedy and pruned deletion sets with the greedy certificates, the
+records of ``widened``, the first reduction's families and back map, the
+records of ``stage1.g_sharp`` and ``special.graph``, and the length, path
+and non-timing stats of ``longest_path``.
+
+Usage, from a checkout's root:
+
+    python3 scripts/corpus_digest.py [ROOT]
+
+ROOT (default: this script's checkout) is the checkout whose ``src/``,
+``tests/helpers.py`` and ``bench/comb.py`` are imported, so running the same
+script with ROOT set to another checkout compares the two: equal digests
+mean equal answers and intermediates on the whole corpus.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+
+def corpus(generate, spec, build, heavy_tailed, make_comb) -> list:
+    graphs = [
+        generate(spec(kind="random", n=1 + s % 60, seed=s)) for s in range(400)
+    ]
+    graphs += [
+        generate(spec(kind="planted", n=200 + 7 * i, k=1 + i % 5, seed=500 + i))
+        for i in range(40)
+    ]
+    rng = random.Random(7)
+    for i in range(60):
+        records, _ = make_comb(rng, blocks=3 + i % 4, stairs=(20 + 7 * i, 50 + 7 * i))
+        graphs.append(build(records))
+    graphs += [heavy_tailed(6 + s % 30, s) for s in range(300)]
+    return graphs
+
+
+def main(argv: list) -> int:
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "bench")]
+    from comb import make_comb
+    from helpers import heavy_tailed
+    from intervalpath.claws import approx_deletion_set
+    from intervalpath.generators import GeneratorSpec, generate
+    from intervalpath.intervals import build
+    from intervalpath.pipeline import longest_path, run_stages
+    from intervalpath.semiproper import make_semi_proper
+
+    digest = hashlib.sha256()
+    graphs = corpus(generate, GeneratorSpec, build, heavy_tailed, make_comb)
+    for g in graphs:
+        st = run_stages(g)
+        semi = make_semi_proper(st.normal)
+        greedy = approx_deletion_set(semi)
+        res = longest_path(g)
+        item = (
+            semi.records(),
+            [semi.neighbors(v) for v in range(semi.n)],
+            sorted(greedy.marked),
+            greedy.certificates,
+            sorted(st.deletion.marked),
+            st.deletion.dummies,
+            st.widened.records(),
+            st.stage1.families,
+            st.stage1.back_map,
+            st.stage1.g_sharp.records(),
+            st.special.graph.records(),
+            res.length,
+            res.path,
+            sorted((k, v) for k, v in res.stats.items() if not k.startswith("t_")),
+        )
+        digest.update(repr(item).encode())
+    print(f"{digest.hexdigest()}  {len(graphs)} instances")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -7,6 +7,15 @@ The detection trick: among a center's live neighbors, only the one with the
 smallest right endpoint and the one with the largest left endpoint can serve
 as the outer leaves of an induced claw, so a claw through a center u exists
 iff {u, v, z1(u), z2(u)} induces one for some neighbor v.
+
+With distinct endpoints that reads off the endpoint order alone, with no
+neighbor lists. If no live right end lies inside u's span, every live
+neighbor covers r_u, and if no live left end does, every one covers l_u;
+either way they pairwise intersect and u centers no claw. Otherwise z1(u)
+owns the first live right end inside the span and z2(u) the last live left
+end, and a middle leaf is a live interval strictly inside (r_z1, l_z2): the
+first live right end there whose left end also is. Every token in u's span
+belongs to a neighbor of u, so each scan costs O(deg u).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DoubleAugment
-from .intervals import IntervalGraph, build, fresh_name
+from .intervals import IntervalGraph, fresh_name, nesting
 
 
 @dataclass(frozen=True)
@@ -40,36 +49,41 @@ class DeletionSet:
     dummies: tuple | None = None
 
 
-def _extremes(graph: IntervalGraph, u: int, alive) -> tuple:
-    """(z1, z2): u's live neighbor with the smallest right end and the one
-    with the largest left end, -1 for none."""
+def _extremes(order: list, pos: list, u: int, alive) -> tuple:
+    """(z1, z2): the owner of the first live right end inside u's span and
+    of the last live left end inside it, -1 for none."""
+    lo, hi = pos[2 * u], pos[2 * u + 1]
     z1 = z2 = -1
-    for w in graph.neighbors(u):
-        if not alive[w]:
-            continue
-        if z1 < 0 or graph.right[w] < graph.right[z1]:
-            z1 = w
-        if z2 < 0 or graph.left[w] > graph.left[z2]:
-            z2 = w
+    for p in range(lo + 1, hi):
+        t = order[p]
+        if t & 1 and alive[t >> 1]:
+            z1 = t >> 1
+            break
+    for p in range(hi - 1, lo, -1):
+        t = order[p]
+        if not t & 1 and alive[t >> 1]:
+            z2 = t >> 1
+            break
     return z1, z2
 
 
-def _middle_leaf(graph: IntervalGraph, u: int, z1: int, z2: int, alive) -> tuple | None:
-    """Leaves of a claw at u with outer leaves u's extremes z1, z2, or None."""
-    if z1 < 0 or z1 == z2 or graph.adjacent(z1, z2):
+def _middle_leaf(order: list, pos: list, z1: int, z2: int, alive) -> tuple | None:
+    """Leaves of a claw with outer leaves z1, z2 (a center's extremes), or
+    None: the live interval strictly inside (r_z1, l_z2) that ends first."""
+    if z1 < 0 or z2 < 0:
         return None
-    for v in graph.neighbors(u):
-        if not alive[v] or v == z1 or v == z2:
-            continue
-        if not graph.adjacent(v, z1) and not graph.adjacent(v, z2):
-            return (v, z1, z2)
+    a, b = pos[2 * z1 + 1], pos[2 * z2]
+    for p in range(a + 1, b):
+        t = order[p]
+        if t & 1 and alive[t >> 1] and pos[t - 1] > a:
+            return (t >> 1, z1, z2)
     return None
 
 
-def _claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
+def _claw_leaves(order: list, pos: list, u: int, alive) -> tuple | None:
     """Leaves of some induced claw centered at u within ``alive``, or None."""
-    z1, z2 = _extremes(graph, u, alive)
-    return _middle_leaf(graph, u, z1, z2, alive)
+    z1, z2 = _extremes(order, pos, u, alive)
+    return _middle_leaf(order, pos, z1, z2, alive)
 
 
 def _witness(graph: IntervalGraph, u: int, leaves: tuple) -> ClawWitness:
@@ -82,15 +96,17 @@ def find_claw_at(graph: IntervalGraph, u: str) -> ClawWitness | None:
     """Some induced claw centered at u, or None if u centers none."""
     alive = [True] * graph.n
     c = graph.by_name(u)
-    leaves = _claw_leaves(graph, c, alive)
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
+    leaves = _claw_leaves(order, pos, c, alive)
     return None if leaves is None else _witness(graph, c, leaves)
 
 
 def find_claw(graph: IntervalGraph) -> ClawWitness | None:
     """First induced claw in right-endpoint order of centers, or None."""
     alive = [True] * graph.n
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
     for u in graph.sigma:
-        leaves = _claw_leaves(graph, u, alive)
+        leaves = _claw_leaves(order, pos, u, alive)
         if leaves is not None:
             return _witness(graph, u, leaves)
     return None
@@ -108,10 +124,13 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     deleted = []
     certs = []
     rk = graph.rank
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
+    nests = nesting(order, pos)
     for u in graph.sigma:
-        if not alive[u]:
+        # the middle leaf of a claw lies inside its center's span
+        if not (alive[u] and nests[u]):
             continue
-        leaves = _claw_leaves(graph, u, alive)
+        leaves = _claw_leaves(order, pos, u, alive)
         if leaves is None:
             continue
         quad = (u,) + leaves
@@ -134,45 +153,60 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
     outer leaves stay z1, z2 and v can only be the middle leaf: an O(1) test.
     Otherwise the leaf scan at w decides.
 
+    A neighbor of v either covers l_v or starts inside v's span. One sweep
+    over the endpoint order collects, for every marked v, the intervals open
+    at l_v, so no neighbor lists are built.
+
     A rejected vertex lies on a claw that later put-backs cannot break, so the
     kept set is inclusion-minimal. Certificates still describe the greedy set.
     """
-    left, right, adjacent = graph.left, graph.right, graph.adjacent
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
     alive = [True] * graph.n
     for nm in deletion.marked:
         alive[graph.by_name(nm)] = False
+    covering = {}
+    open_ = set()
+    for t in order:
+        v = t >> 1
+        if t & 1:
+            open_.discard(v)
+        else:
+            if not alive[v]:
+                covering[v] = list(open_)
+            open_.add(v)
     ext = {}
 
     def creates_claw(v: int, moved: list) -> bool:
-        for w in graph.neighbors(v):
+        lv, rv = pos[2 * v], pos[2 * v + 1]
+        starts_inside = [t >> 1 for t in order[lv + 1 : rv] if not t & 1]
+        for w in covering[v] + starts_inside:
             if not alive[w]:
                 continue
             z = ext.get(w)
             if z is None:
                 alive[v] = False
-                z = ext[w] = _extremes(graph, w, alive)
+                z = ext[w] = _extremes(order, pos, w, alive)
                 alive[v] = True
             z1, z2 = z
-            n1 = v if z1 < 0 or right[v] < right[z1] else z1
-            n2 = v if z2 < 0 or left[v] > left[z2] else z2
+            lw, rw = pos[2 * w], pos[2 * w + 1]
+            n1 = v if rv < rw and (z1 < 0 or rv < pos[2 * z1 + 1]) else z1
+            n2 = v if lv > lw and (z2 < 0 or lv > pos[2 * z2]) else z2
             if n1 == z1 and n2 == z2:
-                if z1 != z2 and not (
-                    adjacent(z1, z2) or adjacent(v, z1) or adjacent(v, z2)
-                ):
+                if z1 >= 0 and z2 >= 0 and pos[2 * z1 + 1] < lv and rv < pos[2 * z2]:
                     return True
             else:
                 moved.append((w, (n1, n2)))
-                if _middle_leaf(graph, w, n1, n2, alive) is not None:
+                if _middle_leaf(order, pos, n1, n2, alive) is not None:
                     return True
         return False
 
     kept = []
-    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
-    for v in reversed(order):
+    marked = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    for v in reversed(marked):
         alive[v] = True
-        z = _extremes(graph, v, alive)
+        z = _extremes(order, pos, v, alive)
         moved = []
-        if _middle_leaf(graph, v, *z, alive) is not None or creates_claw(v, moved):
+        if _middle_leaf(order, pos, *z, alive) is not None or creates_claw(v, moved):
             alive[v] = False
             kept.append(graph.names[v])
         else:
@@ -191,11 +225,12 @@ def exact_deletion_set(
     """
     alive = [True] * graph.n
     nodes = 0
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
 
     def first_claw():
         for u in graph.sigma:
             if alive[u]:
-                leaves = _claw_leaves(graph, u, alive)
+                leaves = _claw_leaves(order, pos, u, alive)
                 if leaves is not None:
                     return (u,) + leaves
         return None
@@ -238,7 +273,8 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
 
     The low sentinel sits before every endpoint and the high one after, so
     they are isolated, first and last in the right-endpoint order, and both
-    join the deletion set. Returns the widened graph and deletion set.
+    join the deletion set. Returns the widened graph and deletion set; the
+    graph is valid by construction and skips ``build``.
     """
     if deletion.dummies is not None:
         raise DoubleAugment("sentinels already added")
@@ -250,10 +286,12 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
         lo, hi = min(graph.left), max(graph.right)
     else:
         lo, hi = 0, 1
-    records = graph.records()
-    records.insert(0, (lo_name, lo - 2, lo - 1, 0))
-    records.append((hi_name, hi + 1, hi + 2, 0))
-    widened = build(records)
+    widened = IntervalGraph(
+        [lo_name, *graph.names, hi_name],
+        [lo - 2, *graph.left, hi + 1],
+        [lo - 1, *graph.right, hi + 2],
+        [0, *graph.weight, 0],
+    )
     out = DeletionSet(
         deletion.marked | {lo_name, hi_name},
         deletion.certificates,

@@ -1,10 +1,19 @@
 """Weighted interval representations: construction, ordering, adjacency, file I/O.
 
 Coordinates are integers at every stage. Only their order matters, so a
-transformation that fits new endpoints between old ones first spreads the old
-ones apart until each gap is wide enough. All 2n endpoints of a
-representation are pairwise distinct, so intersection and containment reduce
-to strict coordinate comparisons and the right-endpoint order is unambiguous.
+transformation works on the endpoint order, a list of tokens 2v (the left
+end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
+token at position p on coordinate p + 1. A graph keeps its order once it is
+sorted, and a graph made from an order keeps that one, so a solve sorts its
+2n endpoints once, in ``normalize_endpoints``. All 2n endpoints of a
+representation are pairwise distinct, so intersection and containment
+reduce to strict coordinate comparisons and the right-endpoint order is
+unambiguous.
+
+``build`` validates external input: parsed files, generators, library
+callers. A stage that derives a graph from one that is already valid keeps
+validity by construction and calls the ``IntervalGraph`` constructor (or
+``from_endpoint_order``) directly.
 """
 
 from __future__ import annotations
@@ -28,12 +37,18 @@ class IntervalGraph:
     identifier. ``sigma`` lists vertex indices by increasing right endpoint,
     ``rank`` is its inverse permutation. Adjacency follows from the intervals
     (u ~ v iff the intervals intersect); neighbor lists are materialized
-    lazily by one endpoint sweep and sorted by sigma-rank.
+    lazily by one endpoint sweep and sorted by sigma-rank. The endpoint
+    order and its positions are computed on first use and kept, or handed
+    over by ``from_endpoint_order``. The constructor trusts its arguments;
+    ``build`` is the validating entry point.
 
     Treat instances as frozen: every transformation builds a new graph.
     """
 
-    __slots__ = ("names", "index", "left", "right", "weight", "sigma", "rank", "_nbrs")
+    __slots__ = (
+        "names", "index", "left", "right", "weight", "sigma", "rank",
+        "_nbrs", "_order", "_pos",
+    )
 
     def __init__(self, names, left, right, weight):
         self.names = list(names)
@@ -46,6 +61,8 @@ class IntervalGraph:
         for pos, v in enumerate(self.sigma):
             self.rank[v] = pos
         self._nbrs = None
+        self._order = None
+        self._pos = None
 
     @property
     def n(self) -> int:
@@ -58,15 +75,36 @@ class IntervalGraph:
         """True iff I_v lies strictly inside I_u."""
         return self.left[u] < self.left[v] and self.right[v] < self.right[u]
 
+    def endpoint_order(self) -> list:
+        """Tokens 2v (left end of v) and 2v + 1 (right end) by increasing
+        coordinate. Shared and cached: callers must not mutate it."""
+        if self._order is None:
+            self._order = token_order(self.left, self.right)
+        return self._order
+
+    def endpoint_positions(self) -> list:
+        """The position of every token in ``endpoint_order()``. Shared and
+        cached: callers must not mutate it."""
+        if self._pos is None:
+            self._pos = token_positions(self.endpoint_order())
+        return self._pos
+
     def neighbors(self, v: int) -> list:
         if self._nbrs is None:
             self._build_neighbors()
         return self._nbrs[v]
 
     def edge_count(self) -> int:
-        if self._nbrs is None:
-            self._build_neighbors()
-        return sum(len(a) for a in self._nbrs) // 2
+        """Edges counted in the endpoint order, without neighbor lists.
+
+        The i-th left end (from 0) at position p_i sees 2i - p_i intervals
+        open, each an edge to a neighbor that started earlier; summed over
+        all left ends that is n(n - 1) minus the left ends' positions.
+        """
+        n = self.n
+        return n * (n - 1) - sum(
+            p for p, t in enumerate(self.endpoint_order()) if not t & 1
+        )
 
     def _build_neighbors(self):
         # one sweep over sorted endpoints; output-sensitive O(n log n + m)
@@ -152,16 +190,54 @@ def span(graph: IntervalGraph, vertices) -> tuple:
     return (min(graph.left[i] for i in idx), max(graph.right[i] for i in idx))
 
 
-def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
-    """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent)."""
-    coords = sorted(graph.left + graph.right)
-    pos = {c: i + 1 for i, c in enumerate(coords)}
-    return IntervalGraph(
-        graph.names,
-        [pos[c] for c in graph.left],
-        [pos[c] for c in graph.right],
-        graph.weight,
+def token_order(left, right) -> list:
+    """Tokens 2v (left end of v) and 2v + 1 (right end) by increasing coordinate."""
+    coords = [0] * (2 * len(left))
+    coords[0::2] = left
+    coords[1::2] = right
+    return sorted(range(len(coords)), key=coords.__getitem__)
+
+
+def token_positions(order) -> list:
+    """Inverse of a token order: the 0-based position of every token."""
+    pos = [0] * len(order)
+    for p, t in enumerate(order):
+        pos[t] = p
+    return pos
+
+
+def nesting(order, pos) -> list:
+    """Per vertex, whether its interval strictly contains another one: one
+    backward sweep over a token order and its positions."""
+    nests = [False] * (len(order) // 2)
+    first_end = len(order)  # the first right end among the lefts swept so far
+    for t in reversed(order):
+        if not t & 1:
+            r = pos[t + 1]
+            if first_end < r:
+                nests[t >> 1] = True
+            else:
+                first_end = r
+    return nests
+
+
+def from_endpoint_order(names, order, weight) -> IntervalGraph:
+    """The graph on 1..2n whose endpoints, read in increasing order, are the
+    tokens of ``order``, which it keeps as its endpoint order (position p is
+    coordinate p + 1); names and weights are taken as they are."""
+    pos = token_positions(order)
+    graph = IntervalGraph(
+        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight
     )
+    graph._order, graph._pos = order, pos
+    return graph
+
+
+def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
+    """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent).
+
+    Input and output share one endpoint order, sorted here once."""
+    return from_endpoint_order(graph.names, graph.endpoint_order(), graph.weight)
 
 
 def fresh_name(base: str, taken) -> str:

@@ -148,8 +148,7 @@ def longest_path(graph: IntervalGraph) -> PathResult:
 
     stats = {
         "n": graph.n,
-        # same edge set as the input; preprocessing already built its adjacency
-        "m": stages.normal.edge_count(),
+        "m": graph.edge_count(),
         "d_size": stages.d_size,
         "d_approx": stages.d_approx,
         "kappa": stages.special.kappa,

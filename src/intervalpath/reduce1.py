@@ -14,11 +14,11 @@ intervals form an independent set containing no other interval.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import EmptySet, MissingDummies
-from .intervals import IntervalGraph, build, fresh_name, normalize_endpoints
+from .intervals import IntervalGraph, fresh_name, from_endpoint_order, token_order
 
 
 @dataclass(frozen=True)
@@ -83,27 +83,36 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
     d_idx = sorted(
         (graph.by_name(nm) for nm in deletion.marked), key=graph.rank.__getitem__
     )
-    r_list = [graph.right[d] for d in d_idx]
-    l_list = sorted(graph.left[d] for d in d_idx)
-    d_names = set(deletion.marked)
-    u_idx = [v for v in graph.sigma if graph.names[v] not in d_names]
-
-    def row_of(point) -> int:
-        return bisect_left(r_list, point)
-
-    u_star = [v for v in u_idx if row_of(graph.left[v]) == row_of(graph.right[v])]
+    left, right = graph.left, graph.right
+    r_list = [right[d] for d in d_idx]
+    l_list = sorted(left[d] for d in d_idx)
+    d_set = set(d_idx)
+    u_idx = [v for v in graph.sigma if v not in d_set]
 
     rows = range(1, len(d_idx))
     li = {}
     for i in rows:
-        inner = [l for l in l_list if r_list[i - 1] < l < r_list[i]]
-        li[i] = tuple([r_list[i - 1]] + inner + [r_list[i]])
+        lo, hi = r_list[i - 1], r_list[i]
+        inner = l_list[bisect_right(l_list, lo) : bisect_left(l_list, hi)]
+        li[i] = (lo, *inner, hi)
 
-    star_cells = {(i, x): [] for i in rows for x in range(1, len(li[i]))}
-    for v in u_star:
-        i = row_of(graph.right[v])
-        x = bisect_left(li[i], graph.right[v])
-        star_cells[(i, x)].append(v)
+    # The cells in order, each with its upper split point and the deletion
+    # right its row starts at. One bisect finds the cell of a free vertex's
+    # right end; the vertex is in U* when its left end is in the same row.
+    keys, tops, floors = [], [], []
+    for i in rows:
+        for x in range(1, len(li[i])):
+            keys.append((i, x))
+            tops.append(li[i][x])
+            floors.append(li[i][0])
+    cells = [[] for _ in keys]
+    u_star = []
+    for v in u_idx:
+        c = bisect_left(tops, right[v])
+        if floors[c] < left[v]:
+            u_star.append(v)
+            cells[c].append(v)
+    star_cells = dict(zip(keys, cells))
 
     star2_cells = {}
     for i in rows:
@@ -116,6 +125,7 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
             star2_cells[(i, x)] = [v for v in cell if waterline < graph.left[v]]
             prev_cell_max = graph.right[cell[-1]] if cell else None
 
+    name_of = graph.names.__getitem__
     components = {}
     s1 = []
     for i in rows:
@@ -126,48 +136,52 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
                     comps[-1].append(v)
                 else:
                     comps.append([v])
-            named = tuple(tuple(graph.names[v] for v in c) for c in comps)
+            named = tuple(tuple(map(name_of, c)) for c in comps)
             components[(i, x)] = named
             s1.extend(named)
 
-    nm = graph.names
     return Stage1Families(
         L=tuple(l_list),
         R=tuple(r_list),
-        U=tuple(nm[v] for v in u_idx),
-        U_star=tuple(nm[v] for v in u_star),
+        U=tuple(map(name_of, u_idx)),
+        U_star=tuple(map(name_of, u_star)),
         Li=li,
-        U_star_ix={k: tuple(nm[v] for v in c) for k, c in star_cells.items()},
-        U_2star_ix={k: tuple(nm[v] for v in c) for k, c in star2_cells.items()},
+        U_star_ix={k: tuple(map(name_of, c)) for k, c in star_cells.items()},
+        U_2star_ix={k: tuple(map(name_of, c)) for k, c in star2_cells.items()},
         components=components,
         S1=tuple(s1),
     )
 
 
 def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
-    """Replace every cluster by its span; weights add up, endpoints renumber."""
+    """Replace every cluster by its span; weights add up, endpoints renumber.
+
+    Survivors keep their input order and the spans follow in S1 order, as
+    one graph on 1..2n built straight from the endpoint order.
+    """
     absorbed = set()
     for comp in families.S1:
         absorbed.update(comp)
-    records = [rec for rec in graph.records() if rec[0] not in absorbed]
-    taken = {rec[0] for rec in records}
+    keep = [v for v, nm in enumerate(graph.names) if nm not in absorbed]
+    names = [graph.names[v] for v in keep]
+    lefts = [graph.left[v] for v in keep]
+    rights = [graph.right[v] for v in keep]
+    weights = [graph.weight[v] for v in keep]
+    taken = set(names)
     back_map = {}
     a_names = []
     for t, comp in enumerate(families.S1, 1):
-        idx = [graph.by_name(v) for v in comp]
+        idx = list(map(graph.index.__getitem__, comp))
         name = fresh_name(f"a{t}", taken)
         taken.add(name)
-        records.append(
-            (
-                name,
-                min(graph.left[v] for v in idx),
-                max(graph.right[v] for v in idx),
-                sum(graph.weight[v] for v in idx),
-            )
-        )
+        names.append(name)
+        lefts.append(min(map(graph.left.__getitem__, idx)))
+        rights.append(max(map(graph.right.__getitem__, idx)))
+        weights.append(sum(map(graph.weight.__getitem__, idx)))
         back_map[name] = comp
         a_names.append(name)
-    g_sharp = normalize_endpoints(build(records))
+    order = token_order(lefts, rights)
+    g_sharp = from_endpoint_order(names, order, weights)
     return Stage1Result(
         g_sharp=g_sharp,
         A=frozenset(a_names),

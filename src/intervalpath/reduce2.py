@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import EmptySet
-from .intervals import IntervalGraph, build, exact_weight, fresh_name, normalize_endpoints
+from .intervals import (
+    IntervalGraph,
+    build,
+    exact_weight,
+    fresh_name,
+    from_endpoint_order,
+    token_order,
+)
 from .reduce1 import Stage1Result
 
 
@@ -179,7 +186,13 @@ def apply_rule2(
         )
 
     records = [rec for rec in records if rec[0] not in absorbed] + clones
-    hat = normalize_endpoints(build(records))
+    lefts = [rec[1] for rec in records]
+    rights = [rec[2] for rec in records]
+    hat = from_endpoint_order(
+        [rec[0] for rec in records],
+        token_order(lefts, rights),
+        [rec[3] for rec in records],
+    )
     k = len(deletion.marked) - 2
     kappa = (k + 2) + comb(18 * k + 16, 2) * (k + 6)
     return SpecialWeightedIntervalGraph(

@@ -11,19 +11,58 @@ other endpoint that would flip an adjacency, and intervals only ever grow,
 so the edge set is preserved exactly. Containments that survive both passes
 have disjoint neighbors of u on both sides, which is the claw witness.
 
-Coordinates stay integers throughout. Before the first center and after
-every center that moved something, all 2n endpoints are re-spaced onto
-multiples of n + 1 in their current order, so the gaps just above r_u and
-just below l_u are empty and n + 1 wide. A batch holds at most n vertices,
-so its j-th member moves to r_u + j (or l_u - j) without meeting any other
-endpoint. Dividing the last re-spacing by n + 1 gives the output's 1..2n.
+Only the order of the endpoints matters, so the stage works on the input's
+endpoint order (tokens 2v and 2v + 1, see ``intervals``), sorted once and
+kept on the graph, and a position per token. After that sort everything is
+linear in n + m, so the stage costs O(n log n + m):
+
+- z1 and z2 come from two O(n) sweeps over the order with a stack each; no
+  neighbor lists are built.
+- One backward sweep marks the intervals that contain another. Intervals
+  only grow, so a center can contain something only if it did in the input
+  or has moved since; every other center is skipped in O(1).
+- Edges never change, so every token in a center's span belongs to one of
+  its neighbors. Reading the contained intervals off the span, and
+  rewriting the span in place after a batch, therefore costs O(deg u):
+  moved right ends go just after r_u in left order, moved left ends just
+  before l_u in right order, and nothing outside the span moves.
+
+The output places the token at position p on coordinate p + 1.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from .intervals import IntervalGraph, from_endpoint_order, nesting
 
-from .intervals import IntervalGraph, build
+
+def _latest_opened(tokens, opening: int, n: int) -> list:
+    """Per vertex v, for a sweep over ``tokens`` in which the tokens of
+    parity ``opening`` open intervals: the owner of the last token opened
+    before v closes if that came after v opened, else the interval still
+    open when v opened that opened last; -1 for none.
+
+    Forward with left ends opening this is v's neighbor with the largest
+    left end; backward with right ends opening, the one with the smallest
+    right end. Closed intervals leave the stack lazily, so the sweep is O(n).
+    """
+    out = [-1] * n
+    closed = [False] * n
+    stack = []
+    last = -1
+    for t in tokens:
+        v = t >> 1
+        if t & 1 == opening:
+            while stack and closed[stack[-1]]:
+                stack.pop()
+            if stack:
+                out[v] = stack[-1]
+            stack.append(v)
+            last = v
+        else:
+            closed[v] = True
+            if last != v:
+                out[v] = last
+    return out
 
 
 def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
@@ -34,76 +73,50 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     n = graph.n
     if n == 0:
         return graph
-    left = list(graph.left)
-    right = list(graph.right)
-    z1 = [-1] * n
-    z2 = [-1] * n
-    for u in range(n):
-        for w in graph.neighbors(u):
-            if z1[u] < 0 or graph.right[w] < graph.right[z1[u]]:
-                z1[u] = w
-            if z2[u] < 0 or graph.left[w] > graph.left[z2[u]]:
-                z2[u] = w
+    order = list(graph.endpoint_order())
+    pos = list(graph.endpoint_positions())
+    z1 = _latest_opened(reversed(order), 1, n)
+    z2 = _latest_opened(order, 0, n)
+    left, right = graph.left, graph.right
 
-    step = n + 1
-    # snapshot of the current coordinates for an O(log n) nesting test
-    lefts_sorted: list = []
-    sufmin: list = []
-
-    def rebuild():
-        nonlocal lefts_sorted, sufmin
-        # re-space every endpoint onto a multiple of step, order kept
-        pos = {c: i * step for i, c in enumerate(sorted(left + right), 1)}
-        left[:] = [pos[c] for c in left]
-        right[:] = [pos[c] for c in right]
-        order = sorted(range(n), key=left.__getitem__)
-        lefts_sorted = [left[v] for v in order]
-        sufmin = [None] * (n + 1)
-        running = None
-        for i in range(n - 1, -1, -1):
-            r = right[order[i]]
-            running = r if running is None or r < running else running
-            sufmin[i] = running
-
-    def nests_something(u: int) -> bool:
-        i = bisect_right(lefts_sorted, left[u])
-        return i < n and sufmin[i] < right[u]
-
-    def tied(v: int, z: int) -> bool:
-        # the input's edges, which stretching preserves
-        return z == v or graph.adjacent(v, z)
-
-    rebuild()
-
+    # Intervals only grow, so a center can contain something only if it did
+    # in the input or it has moved since.
+    nests = nesting(order, pos)
     for u in graph.sigma:
-        if not nests_something(u):
+        if not nests[u]:
             continue
-        lu, ru = left[u], right[u]
-        contained = [v for v in range(n) if lu < left[v] and right[v] < ru]
-        dirty = False
+        lo, hi = pos[2 * u], pos[2 * u + 1]
+        span = order[lo : hi + 1]
+        contained = [t >> 1 for t in span if not t & 1 and pos[t + 1] < hi]
+        if not contained:
+            continue
+        # Tied to z2(u), else to z1(u): equal or adjacent in the input, whose
+        # edges stretching preserves. ``contained`` is in left order.
+        a, b = z2[u], z1[u]
+        out_right, out_left = [], []
+        for v in contained:
+            if v == a or left[v] < right[a] and left[a] < right[v]:
+                out_right.append(v)
+            elif v == b or left[v] < right[b] and left[b] < right[v]:
+                out_left.append(v)
+        if not out_right and not out_left:
+            continue
+        # Moved left ends go just before l_u in right order, moved right ends
+        # just after r_u in left order; the rest of the span keeps its order.
+        out_left.sort(key=lambda v: pos[2 * v + 1])
+        moved = {2 * v + 1 for v in out_right} | {2 * v for v in out_left}
+        span = (
+            [2 * v for v in out_left]
+            + [t for t in span if t not in moved]
+            + [2 * v + 1 for v in out_right]
+        )
+        order[lo : hi + 1] = span
+        for p, t in enumerate(span, lo):
+            pos[t] = p
+        for v in out_right + out_left:
+            nests[v] = True
 
-        batch = [v for v in contained if tied(v, z2[u])]
-        if batch:
-            batch.sort(key=left.__getitem__)
-            for j, v in enumerate(batch, 1):
-                right[v] = ru + j
-            dirty = True
-
-        still = [v for v in contained if lu < left[v] and right[v] < ru]
-        batch = [v for v in still if not tied(v, z2[u]) and tied(v, z1[u])]
-        if batch:
-            batch.sort(key=right.__getitem__, reverse=True)
-            for j, v in enumerate(batch, 1):
-                left[v] = lu - j
-            dirty = True
-
-        if dirty:
-            rebuild()
-
-    return build(
-        (graph.names[v], left[v] // step, right[v] // step, graph.weight[v])
-        for v in range(n)
-    )
+    return from_endpoint_order(graph.names, order, graph.weight)
 
 
 def is_semi_proper(graph: IntervalGraph) -> bool:

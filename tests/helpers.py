@@ -1,9 +1,12 @@
 """Shared builders and tiny oracles for the test suite."""
 
 import random
+import sys
+from bisect import bisect_right
+from pathlib import Path
 
-from intervalpath.claws import DeletionSet, _claw_leaves
-from intervalpath.intervals import build
+from intervalpath.claws import ClawWitness, DeletionSet
+from intervalpath.intervals import IntervalGraph, build, token_order
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
 from intervalpath.reduce2 import SpecialWeightedIntervalGraph, apply_rule2, compute_stage2_families
@@ -41,6 +44,21 @@ def split3_special():
     )
 
 
+def assert_valid_representation(g):
+    """What ``build`` would check, plus the orders a graph carries: unique
+    names, l < r, 2n pairwise distinct endpoints, ``sigma``/``rank`` by right
+    end, and an endpoint order and positions that match the coordinates."""
+    assert len(set(g.names)) == g.n
+    assert all(g.index[nm] == v for v, nm in enumerate(g.names))
+    assert all(l < r for l, r in zip(g.left, g.right))
+    assert len(set(g.left + g.right)) == 2 * g.n
+    assert sorted(range(g.n), key=g.right.__getitem__) == g.sigma
+    assert all(g.sigma[g.rank[v]] == v for v in range(g.n))
+    order = g.endpoint_order()
+    assert order == token_order(g.left, g.right)
+    assert all(order[p] == t for t, p in enumerate(g.endpoint_positions()))
+
+
 def heavy_tailed(n, seed):
     """Unit intervals with heavy-tailed lengths, where the reductions do work.
 
@@ -66,6 +84,143 @@ def heavy_tailed(n, seed):
     return build(records)
 
 
+# The claw routines as they were before claw detection moved onto the
+# endpoint order, kept verbatim (apart from their names) as test-only
+# references: extremes and leaves from neighbor lists, O(deg) per query.
+
+
+def reference_extremes(graph: IntervalGraph, u: int, alive) -> tuple:
+    """(z1, z2): u's live neighbor with the smallest right end and the one
+    with the largest left end, -1 for none."""
+    z1 = z2 = -1
+    for w in graph.neighbors(u):
+        if not alive[w]:
+            continue
+        if z1 < 0 or graph.right[w] < graph.right[z1]:
+            z1 = w
+        if z2 < 0 or graph.left[w] > graph.left[z2]:
+            z2 = w
+    return z1, z2
+
+
+def reference_middle_leaf(graph: IntervalGraph, u: int, z1: int, z2: int, alive) -> tuple | None:
+    """Leaves of a claw at u with outer leaves u's extremes z1, z2, or None."""
+    if z1 < 0 or z1 == z2 or graph.adjacent(z1, z2):
+        return None
+    for v in graph.neighbors(u):
+        if not alive[v] or v == z1 or v == z2:
+            continue
+        if not graph.adjacent(v, z1) and not graph.adjacent(v, z2):
+            return (v, z1, z2)
+    return None
+
+
+def reference_claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
+    """Leaves of some induced claw centered at u within ``alive``, or None."""
+    z1, z2 = reference_extremes(graph, u, alive)
+    return reference_middle_leaf(graph, u, z1, z2, alive)
+
+
+def reference_approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
+    """Factor-4 deletion set for a semi-proper representation.
+
+    One pass in right-endpoint order; each center contributes at most one
+    claw, whose four vertices are deleted together and recorded as a
+    certificate. The certificates are vertex-disjoint, so any deletion set
+    needs at least a quarter of what this returns.
+    """
+    alive = [True] * graph.n
+    deleted = []
+    certs = []
+    rk = graph.rank
+    for u in graph.sigma:
+        if not alive[u]:
+            continue
+        leaves = reference_claw_leaves(graph, u, alive)
+        if leaves is None:
+            continue
+        quad = (u,) + leaves
+        for w in quad:
+            alive[w] = False
+            deleted.append(graph.names[w])
+        names = tuple(graph.names[w] for w in sorted(leaves, key=rk.__getitem__))
+        certs.append(ClawWitness(graph.names[u], names))
+    return DeletionSet(frozenset(deleted), tuple(certs))
+
+
+def reference_prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionSet:
+    """Put back every marked vertex whose return creates no claw.
+
+    Candidates go in decreasing rank order against a claw-free G - D. A claw
+    created by putting v back contains v, so it is centered at v or at a live
+    neighbor w with v as a leaf. ``ext`` caches each live w's extremes, filled
+    the first time a candidate touches w (with the candidate still dead) and
+    updated when a neighbor goes back. If v becomes neither extreme of w, the
+    outer leaves stay z1, z2 and v can only be the middle leaf: an O(1) test.
+    Otherwise the leaf scan at w decides.
+
+    A rejected vertex lies on a claw that later put-backs cannot break, so the
+    kept set is inclusion-minimal. Certificates still describe the greedy set.
+    """
+    left, right, adjacent = graph.left, graph.right, graph.adjacent
+    alive = [True] * graph.n
+    for nm in deletion.marked:
+        alive[graph.by_name(nm)] = False
+    ext = {}
+
+    def creates_claw(v: int, moved: list) -> bool:
+        for w in graph.neighbors(v):
+            if not alive[w]:
+                continue
+            z = ext.get(w)
+            if z is None:
+                alive[v] = False
+                z = ext[w] = reference_extremes(graph, w, alive)
+                alive[v] = True
+            z1, z2 = z
+            n1 = v if z1 < 0 or right[v] < right[z1] else z1
+            n2 = v if z2 < 0 or left[v] > left[z2] else z2
+            if n1 == z1 and n2 == z2:
+                if z1 != z2 and not (
+                    adjacent(z1, z2) or adjacent(v, z1) or adjacent(v, z2)
+                ):
+                    return True
+            else:
+                moved.append((w, (n1, n2)))
+                if reference_middle_leaf(graph, w, n1, n2, alive) is not None:
+                    return True
+        return False
+
+    kept = []
+    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    for v in reversed(order):
+        alive[v] = True
+        z = reference_extremes(graph, v, alive)
+        moved = []
+        if reference_middle_leaf(graph, v, *z, alive) is not None or creates_claw(v, moved):
+            alive[v] = False
+            kept.append(graph.names[v])
+        else:
+            ext[v] = z
+            ext.update(moved)
+    return DeletionSet(frozenset(kept), deletion.certificates)
+
+
+def small_combs(count):
+    """``count`` combs of 3..5 blocks from ``bench/comb.make_comb``, imported
+    from the benchmark's directory rather than copied, as graphs."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    from comb import make_comb
+
+    rng = random.Random(11)
+    return [
+        build(make_comb(rng, blocks=3 + i % 3, stairs=(6 + 4 * i, 12 + 6 * i))[0])
+        for i in range(count)
+    ]
+
+
 def naive_prune(graph, deletion):
     """Reference put-back for ``claws.prune_deletion_set``: in decreasing rank
     order, return each marked vertex unless the leaf scan finds a claw at it or
@@ -76,10 +231,91 @@ def naive_prune(graph, deletion):
     for v in reversed(order):
         alive[v] = True
         centers = [v] + [w for w in graph.neighbors(v) if alive[w]]
-        if any(_claw_leaves(graph, c, alive) is not None for c in centers):
+        if any(reference_claw_leaves(graph, c, alive) is not None for c in centers):
             alive[v] = False
             kept.add(graph.names[v])
     return frozenset(kept)
+
+
+def reference_semi_proper(graph):
+    """The earlier ``semiproper.make_semi_proper``, kept verbatim as a
+    test-only reference: z1/z2 from neighbor lists, a full re-spacing of
+    all 2n endpoints onto multiples of n + 1 (sort, dict, suffix minima)
+    before the first center and after every center that moved something,
+    an O(n) scan per nesting center, and ``build`` on the output."""
+    n = graph.n
+    if n == 0:
+        return graph
+    left = list(graph.left)
+    right = list(graph.right)
+    z1 = [-1] * n
+    z2 = [-1] * n
+    for u in range(n):
+        for w in graph.neighbors(u):
+            if z1[u] < 0 or graph.right[w] < graph.right[z1[u]]:
+                z1[u] = w
+            if z2[u] < 0 or graph.left[w] > graph.left[z2[u]]:
+                z2[u] = w
+
+    step = n + 1
+    # snapshot of the current coordinates for an O(log n) nesting test
+    lefts_sorted: list = []
+    sufmin: list = []
+
+    def rebuild():
+        nonlocal lefts_sorted, sufmin
+        # re-space every endpoint onto a multiple of step, order kept
+        pos = {c: i * step for i, c in enumerate(sorted(left + right), 1)}
+        left[:] = [pos[c] for c in left]
+        right[:] = [pos[c] for c in right]
+        order = sorted(range(n), key=left.__getitem__)
+        lefts_sorted = [left[v] for v in order]
+        sufmin = [None] * (n + 1)
+        running = None
+        for i in range(n - 1, -1, -1):
+            r = right[order[i]]
+            running = r if running is None or r < running else running
+            sufmin[i] = running
+
+    def nests_something(u: int) -> bool:
+        i = bisect_right(lefts_sorted, left[u])
+        return i < n and sufmin[i] < right[u]
+
+    def tied(v: int, z: int) -> bool:
+        # the input's edges, which stretching preserves
+        return z == v or graph.adjacent(v, z)
+
+    rebuild()
+
+    for u in graph.sigma:
+        if not nests_something(u):
+            continue
+        lu, ru = left[u], right[u]
+        contained = [v for v in range(n) if lu < left[v] and right[v] < ru]
+        dirty = False
+
+        batch = [v for v in contained if tied(v, z2[u])]
+        if batch:
+            batch.sort(key=left.__getitem__)
+            for j, v in enumerate(batch, 1):
+                right[v] = ru + j
+            dirty = True
+
+        still = [v for v in contained if lu < left[v] and right[v] < ru]
+        batch = [v for v in still if not tied(v, z2[u]) and tied(v, z1[u])]
+        if batch:
+            batch.sort(key=right.__getitem__, reverse=True)
+            for j, v in enumerate(batch, 1):
+                left[v] = lu - j
+            dirty = True
+
+        if dirty:
+            rebuild()
+
+    return build(
+        (graph.names[v], left[v] // step, right[v] // step, graph.weight[v])
+        for v in range(n)
+    )
 
 
 def crafted_special():

@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
-from helpers import heavy_tailed, naive_prune, two_claws
+from helpers import (
+    heavy_tailed,
+    naive_prune,
+    reference_claw_leaves,
+    reference_prune_deletion_set,
+    two_claws,
+)
 from intervalpath.claws import (
+    DeletionSet,
+    _claw_leaves,
     add_dummies,
     approx_deletion_set,
     exact_deletion_set,
@@ -123,6 +133,32 @@ def test_prune_is_an_inclusion_minimal_subset(family):
         for v in kept:
             assert find_claw(residual(g, kept - {v})) is not None, (i, v)
         assert kept == naive_prune(g, greedy), i
+
+
+@pytest.mark.parametrize("family", ["random", "heavy_tailed"])
+def test_claw_leaves_match_the_neighbor_list_reference(family):
+    """Detection on the endpoint order returns the leaves the neighbor-list
+    scan returns, at every center and under random live sets."""
+    rng = random.Random(5)
+    for i, g in enumerate(_prune_instances(family)):
+        order, pos = g.endpoint_order(), g.endpoint_positions()
+        for _ in range(4):
+            alive = [rng.random() < 0.8 for _ in range(g.n)]
+            for u in range(g.n):
+                if alive[u]:
+                    want = reference_claw_leaves(g, u, alive)
+                    assert _claw_leaves(order, pos, u, alive) == want, (i, u)
+
+
+@pytest.mark.parametrize("family", ["random", "heavy_tailed"])
+def test_prune_matches_the_reference_on_larger_deletion_sets(family):
+    """Any superset of a deletion set is one; pruning it from there walks
+    other cache states than the greedy set does."""
+    rng = random.Random(9)
+    for i, g in enumerate(_prune_instances(family)):
+        extra = {nm for nm in g.names if rng.random() < 0.3}
+        d = DeletionSet(approx_deletion_set(g).marked | extra, ())
+        assert prune_deletion_set(g, d) == reference_prune_deletion_set(g, d), i
 
 
 def test_exact_claw4(claw4):

@@ -10,11 +10,14 @@ from intervalpath.errors import (
     EmptySet,
     ParseError,
 )
+from helpers import heavy_tailed
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import (
     build,
     format_intervals,
     fresh_name,
+    from_endpoint_order,
+    nesting,
     normalize_endpoints,
     parse_intervals,
     span,
@@ -107,6 +110,33 @@ def test_normalize_preserves_structure(seed, n):
     assert edge_set(g) == edge_set(h)
     assert names_in_sigma(g) == names_in_sigma(h)
     assert sorted(h.left + h.right) == list(range(1, 2 * n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 30))
+def test_endpoint_order_answers_match_pairwise_checks(seed, n):
+    """Order, positions, edge count, nesting and neighbor lists, all read off
+    one endpoint sweep, against the pairwise definitions."""
+    g = heavy_tailed(n, seed)
+    order, pos = g.endpoint_order(), g.endpoint_positions()
+    ends = [g.right[t >> 1] if t & 1 else g.left[t >> 1] for t in order]
+    assert ends == sorted(g.left + g.right)
+    assert all(order[p] == t for t, p in enumerate(pos))
+    assert g.edge_count() == sum(g.adjacent(u, v) for u in range(n) for v in range(u))
+    assert nesting(order, pos) == [
+        any(g.contains_interval(u, v) for v in range(n)) for u in range(n)
+    ]
+    for v in range(n):
+        want = [w for w in g.sigma if g.adjacent(v, w)]
+        assert g.neighbors(v) == want
+
+
+def test_from_endpoint_order_keeps_the_order_it_is_given(claw4):
+    order = claw4.endpoint_order()
+    h = from_endpoint_order(claw4.names, order, claw4.weight)
+    assert h.records() == normalize_endpoints(claw4).records()
+    assert h.endpoint_order() is order
+    assert [h.left[v] for v in range(h.n)] == [p + 1 for p in h.endpoint_positions()[0::2]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,11 @@
 import pytest
 
-from helpers import crafted_special, heavy_tailed, total_weight
+from helpers import crafted_special, heavy_tailed, small_combs, total_weight
 from intervalpath import pipeline
 from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
 from intervalpath.generators import GeneratorSpec, Lcg, generate
-from intervalpath.intervals import build
+from intervalpath.intervals import IntervalGraph, build
 from intervalpath.oracle import brute_longest_path
 from intervalpath.paths import is_normal_path, is_path
 from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path, run_stages
@@ -215,6 +215,46 @@ def test_planted_instances_round_trip():
         assert is_path(g, res.path)
         assert res.length == len(res.path)
         assert res.stats["d_size"] <= 8
+
+
+def _intersecting_pairs(g):
+    return sum(g.adjacent(u, v) for u in range(g.n) for v in range(u))
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [lambda: small_combs(6), lambda: [heavy_tailed(6 + s % 35, s) for s in range(40)]],
+    ids=["comb", "heavy_tailed"],
+)
+def test_stats_count_the_input_edges(graphs):
+    for g in graphs():
+        assert longest_path(g).stats["m"] == _intersecting_pairs(g) == g.edge_count()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)),
+        lambda: small_combs(4)[-1],
+    ],
+    ids=["planted2000", "comb"],
+)
+def test_front_end_builds_one_adjacency(make, monkeypatch):
+    """At most one neighbor-list build on a graph as large as the input per
+    solve; the stages before the DP work on the endpoint order."""
+    g = make()
+    sizes = []
+    real = IntervalGraph._build_neighbors
+
+    def counting(graph):
+        if graph.n >= g.n:
+            sizes.append(graph.n)
+        real(graph)
+
+    monkeypatch.setattr(IntervalGraph, "_build_neighbors", counting)
+    res = longest_path(g)
+    assert res.length == len(res.path) and is_path(g, res.path)
+    assert len(sizes) <= 1, sizes
 
 
 def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):

@@ -109,6 +109,16 @@ def test_families_invariants_random(seed):
         cells_union |= set(members)
         assert set(fam.U_2star_ix[cell]) <= set(members)
     assert cells_union == set(fam.U_star)
+    # U*: the free vertices that cross no deletion right, each in the cell
+    # holding its right end
+    for nm in fam.U:
+        v = widened.by_name(nm)
+        l, r = widened.left[v], widened.right[v]
+        assert (nm in fam.U_star) == (not any(l < d < r for d in fam.R))
+    for (i, x), members in fam.U_star_ix.items():
+        for nm in members:
+            r = widened.right[widened.by_name(nm)]
+            assert fam.Li[i][x - 1] < r < fam.Li[i][x]
     for s in fam.S1:
         assert is_reducible(widened, s)
     spans = []

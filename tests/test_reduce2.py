@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import crafted_special, total_weight
+from helpers import assert_valid_representation, crafted_special, small_combs, total_weight
 from intervalpath.claws import DeletionSet
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import build
@@ -15,6 +15,7 @@ from intervalpath.reduce2 import (
     intermediate_graphs,
     is_weakly_reducible,
 )
+from intervalpath.semiproper import make_semi_proper
 
 
 def kappa_bound(k):
@@ -193,6 +194,24 @@ def test_stage2_invariants_random(seed):
     for grp in special.groups:
         assert int_coords(grp.records)
         assert exact_weights(grp.records)
+    # derived graphs skip build's checks, so their invariants are asserted here
+    for graph in (make_semi_proper(st.normal), st.widened, stage1.g_sharp, special.graph):
+        assert_valid_representation(graph)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec(kind="planted", n=400, k=4, seed=3)),
+        lambda: small_combs(4)[-1],
+    ],
+    ids=["planted", "comb"],
+)
+def test_stage_graphs_are_valid_representations(make):
+    st = run_stages(make())
+    semi = make_semi_proper(st.normal)
+    for graph in (semi, st.widened, st.stage1.g_sharp, st.special.graph):
+        assert_valid_representation(graph)
 
 
 @pytest.mark.parametrize("seed", range(25))

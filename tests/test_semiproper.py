@@ -1,6 +1,14 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalpath.claws import find_claw_at
+from helpers import (
+    heavy_tailed,
+    reference_approx_deletion_set,
+    reference_prune_deletion_set,
+    reference_semi_proper,
+    small_combs,
+)
+from intervalpath.claws import approx_deletion_set, find_claw_at, prune_deletion_set
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import normalize_endpoints
 from intervalpath.semiproper import is_semi_proper, make_semi_proper
@@ -66,3 +74,44 @@ def test_every_surviving_containment_has_a_claw(claw4):
         witness = find_claw_at(out, u)
         assert witness is not None
         assert witness.center == u
+
+
+def _reference_cases():
+    cases = [generate(GeneratorSpec(kind="random", n=n, seed=7 * n)) for n in range(1, 61)]
+    cases += [heavy_tailed(6 + s % 35, 300 + s) for s in range(200)]
+    cases += [
+        generate(GeneratorSpec(kind="planted", n=n, k=k, seed=n + k))
+        for n in (200, 300, 400, 500, 600)
+        for k in range(1, 6)
+    ]
+    return cases + small_combs(4)
+
+
+def test_front_end_matches_the_reference():
+    """The sweep-based semi-proper graph, greedy claws and pruning equal the
+    neighbor-list reference exactly, on raw and normalized inputs."""
+    for g in _reference_cases():
+        for h in (g, normalize_endpoints(g)):
+            semi = make_semi_proper(h)
+            assert semi.records() == reference_semi_proper(h).records()
+            greedy = approx_deletion_set(semi)
+            assert greedy == reference_approx_deletion_set(semi)
+            assert prune_deletion_set(semi, greedy) == reference_prune_deletion_set(
+                semi, greedy
+            )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: generate(GeneratorSpec(kind="planted", n=290 + s, k=1 + s % 5, seed=s)),
+        lambda s: heavy_tailed(15 + 5 * (s % 6), 40 + s),
+    ],
+    ids=["planted", "heavy_tailed"],
+)
+def test_larger_inputs_keep_edges_and_become_semi_proper(make):
+    for s in range(12):
+        g = make(s)
+        out = make_semi_proper(g)
+        assert edge_set(out) == edge_set(g)
+        assert is_semi_proper(out)
