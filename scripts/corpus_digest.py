@@ -10,8 +10,9 @@ The corpus:
 Per instance the digest covers the semi-proper records and neighbor lists,
 the greedy and pruned deletion sets with the greedy certificates, the
 records of ``widened``, the first reduction's families and back map, the
-records of ``stage1.g_sharp`` and ``special.graph``, and the length, path
-and non-timing stats of ``longest_path``.
+records of ``stage1.g_sharp`` and ``special.graph``, the DP's tables ``W``
+and ``parent`` from ``max_weight_path(special)`` (sorted by key), and the
+length, path and non-timing stats of ``longest_path``.
 
 Usage, from a checkout's root:
 
@@ -20,7 +21,7 @@ Usage, from a checkout's root:
 ROOT (default: this script's checkout) is the checkout whose ``src/``,
 ``tests/helpers.py`` and ``bench/comb.py`` are imported, so running the same
 script with ROOT set to another checkout compares the two: equal digests
-mean equal answers and intermediates on the whole corpus.
+mean equal answers, intermediates and DP tables on the whole corpus.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def main(argv: list) -> int:
     from comb import make_comb
     from helpers import heavy_tailed
     from intervalpath.claws import approx_deletion_set
+    from intervalpath.dp import max_weight_path
     from intervalpath.generators import GeneratorSpec, generate
     from intervalpath.intervals import build
     from intervalpath.pipeline import longest_path, run_stages
@@ -64,6 +66,7 @@ def main(argv: list) -> int:
         st = run_stages(g)
         semi = make_semi_proper(st.normal)
         greedy = approx_deletion_set(semi)
+        table = max_weight_path(st.special).table
         res = longest_path(g)
         item = (
             semi.records(),
@@ -77,6 +80,8 @@ def main(argv: list) -> int:
             st.stage1.back_map,
             st.stage1.g_sharp.records(),
             st.special.graph.records(),
+            sorted(table.W.items()),
+            sorted(table.parent.items()),
             res.length,
             res.path,
             sorted((k, v) for k, v in res.stats.items() if not k.startswith("t_")),

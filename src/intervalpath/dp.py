@@ -12,13 +12,29 @@ ending before l_y, which needs no split coordinate ζ), then SPLIT by
 increasing ζ. A later candidate wins only if it is strictly heavier, except
 that equal SPLITs keep the leg end of lowest rank, then the lowest ζ.
 
-Two hoists keep each value computed once. Per sweep vertex v_i, the
-stand-ins π(y, v_i) of its earlier neighbors and the split tails
-W[ζ][π(y, v_i), y] for ζ in (l_{v_i}, l_y] are read before the ξ loop,
-since neither depends on ξ. Per (v_i, ξ), the best leg below each ζ is
-found once and shared by every y. Both are sound because every write made
-while sweeping v_i has v_i as its middle index, while every read has
-π(y, v_i), which ranks below v_i: what is read is final before v_i.
+Every read made while sweeping v_i is of an entry whose middle index
+is the stand-in π(y, v_i), which ranks below v_i, while every write has
+v_i as its middle index: what is read is final before v_i. So each value
+is read once per v_i, and every ξ row does flat list work only.
+
+- Stand-ins come from the sweep. After a dependent v_i is swept, it
+  becomes ``last_b[y]`` for each earlier neighbor y. Vertices are swept in
+  rank order, so when v_i comes, ``last_b[y]`` is the latest dependent
+  vertex strictly between y and v_i that overlaps y: π(y, v_i), in O(1).
+- Earlier neighbors are a slice of σ. Adjacency is strict overlap and σ is
+  sorted by right end, so a y before v_i meets it iff r_y > l_{v_i}: the
+  earlier neighbors are σ from the first right end above l_{v_i} up to
+  v_i, in rank order. The DP builds no neighbor lists.
+- Query cuts are fixed per v_i. Every leg query asks for the best leg
+  ending below a coordinate: r_{v_i} (SELF_APPEND, all legs), l_y (TAIL)
+  or ζ (SPLIT). Legs are in right-end order, so each query is a prefix of
+  them, found by bisection once per v_i; the split tails W[ζ][π(y, v_i), y]
+  for ζ in (l_{v_i}, l_y] are read then too, since they do not depend on ξ.
+- One running-max pass per ξ. The pass over the legs fills ``run_v[c]``
+  and ``run_j[c]``, the best value among the first c legs inside ξ and the
+  earliest leg holding it, so every query is a list index. A nested y's
+  cuts all end below l_y < r_y, so y's entry is decided in the same pass,
+  as soon as the pass reaches y; v_i's own entry comes after the pass.
 
 The answer is read at the lowest ξ, the left end of the start vertex v0: a
 zero-weight dependent vertex that ends before every other interval begins,
@@ -49,59 +65,6 @@ class DpResult:
     weight: object
     path: list
     table: "DpTable"
-
-
-class PiTable:
-    """Stand-ins: pi(u, v) is the latest dependent-side neighbor of u strictly
-    between u and v in right-endpoint order, or u itself. Each u's
-    dependent-side neighbors are cached; pi itself is not, since the sweep
-    asks for each pair once."""
-
-    def __init__(self, graph: IntervalGraph, b_indices: set):
-        self._g = graph
-        self._b = b_indices
-        self._bn: dict = {}
-
-    def _b_neighbors(self, u: int) -> list:
-        got = self._bn.get(u)
-        if got is None:
-            got = [w for w in self._g.neighbors(u) if w in self._b]
-            self._bn[u] = got
-        return got
-
-    def lookup(self, u: int, v: int) -> int:
-        rank = self._g.rank
-        got = u
-        for w in self._b_neighbors(u):
-            if rank[u] < rank[w] < rank[v]:
-                got = w if rank[w] > rank[got] else got
-        return got
-
-
-class PrefixMaxTable:
-    """Running maxima of leg values keyed by the leg's right endpoint.
-
-    omega(q) is the best (value, x) among candidates with right endpoint
-    strictly below q; ties keep the earliest x in right-endpoint order.
-    """
-
-    def __init__(self, rights: list, vals: list, xs: list):
-        self.rights = rights
-        self.xs = xs
-        self.vals = vals
-        self.best: list = []
-        cur = None
-        for v, x in zip(vals, xs):
-            if cur is None or (v is not None and (cur[0] is None or v > cur[0])):
-                cur = (v, x)
-            self.best.append(cur)
-
-    def omega(self, q):
-        i = bisect_left(self.rights, q)
-        if i == 0:
-            return None
-        got = self.best[i - 1]
-        return None if got is None or got[0] is None else got
 
 
 @dataclass
@@ -174,79 +137,111 @@ def max_weight_path(
     g = special.graph
     xi = build_xi(g, special.A, special.B)
     xs_sorted = xi.Xi
-    pit = PiTable(g, {g.by_name(nm) for nm in special.B})
     table = DpTable(graph=g, xi=xi)
     W, parent = table.W, table.parent
-    rank, left, right, wt = g.rank, g.left, g.right, g.weight
+    rank, left, right, wt, sigma = g.rank, g.left, g.right, g.weight, g.sigma
+    rights = [right[v] for v in sigma]
+    dependent = [False] * g.n
+    for nm in special.B:
+        dependent[g.by_name(nm)] = True
+    # last_b[y] = pi(y, v_i): the last dependent vertex swept so far that
+    # overlaps y from above, or y itself
+    last_b = list(range(g.n))
 
-    for vi in g.sigma:
+    for i, vi in enumerate(sigma):
         r_vi = right[vi]
         l_vi = left[vi]
         w_vi = wt[vi]
         zlo = bisect_right(xs_sorted, l_vi)
-        ztop = zlo
-        # earlier neighbors y with pi(y, v_i) and, when y nests in v_i, its split tails
-        nbrs = []
-        for y in g.neighbors(vi):
-            if rank[y] >= rank[vi]:
-                break
-            p = pit.lookup(y, vi)
-            if trace_reads is not None:
-                trace_reads.append((vi, p))
+        # v_i's earlier neighbors: the vertices before it that end after l_vi
+        lo = bisect_right(rights, l_vi, 0, i)
+        earlier = sigma[lo:i]
+        stand = [last_b[y] for y in earlier]
+        if trace_reads is not None:
+            trace_reads.extend((vi, p) for p in stand)
+        if dependent[vi]:
+            for y in earlier:
+                last_b[y] = vi
+        # cut c stands for the first c legs; zcut[ζ - zlo] are the legs ending below ζ
+        ztop = bisect_right(xs_sorted, max(map(left.__getitem__, earlier), default=l_vi))
+        zcut = [bisect_left(rights, xs_sorted[z], lo, i) - lo for z in range(zlo, ztop)]
+        # legs[k] = (y, pi(y, v_i), l_y, COPY parent, cut below l_y, w_vi + w_y,
+        # split tails) for the k-th earlier neighbor; only a nested y (one that
+        # starts inside v_i) has a cut and tails, and it is also in ``nested``
+        legs = []
+        nested = []
+        for y, p in zip(earlier, stand):
+            l_y = left[y]
+            copy = ("COPY", p)
+            tcut = -1
             tails = None
-            if left[y] >= l_vi:
-                # (ζ offset from zlo, v_i's weight plus the tail from ζ)
+            if l_y > l_vi:
+                tcut = bisect_left(rights, l_y, lo, i) - lo
+                # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
                 tails = []
-                for zpos in range(zlo, bisect_right(xs_sorted, left[y])):
+                for zpos in range(zlo, bisect_right(xs_sorted, l_y)):
                     tail = W.get((zpos, p, y))
                     if tail is not None:
-                        tails.append((zpos - zlo, w_vi + tail))
-                if tails:
-                    ztop = max(ztop, zlo + tails[-1][0] + 1)
-            nbrs.append((y, p, left[y], right[y], tails))
+                        tails.append((zcut[zpos - zlo], w_vi + tail, zpos))
+                nested.append((y, p, l_y, copy))
+            legs.append((y, p, l_y, copy, tcut, w_vi + wt[y], tails))
 
+        # run_v[c], run_j[c]: the best leg value among the first c legs inside
+        # ξ and the earliest leg holding it; refilled by every row
+        run_v = [None] * (len(legs) + 1)
+        run_j = [0] * (len(legs) + 1)
         for pos in range(bisect_left(xs_sorted, r_vi)):
             x_coord = xs_sorted[pos]
-            inside = [nb for nb in nbrs if x_coord <= nb[2]]
-            vals = [W.get((pos, p, y)) for y, p, _, _, _ in inside]
             if x_coord > l_vi:
-                for (y, p, _, _, _), val in zip(inside, vals):
-                    if val is not None:
-                        W[pos, vi, y] = val
-                        parent[pos, vi, y] = ("COPY", p)
+                # only nested legs lie inside ξ, and none can be extended
+                for y, p, l_y, copy in nested:
+                    if x_coord <= l_y:
+                        val = W.get((pos, p, y))
+                        if val is not None:
+                            W[pos, vi, y] = val
+                            parent[pos, vi, y] = copy
                 continue
 
-            legs = PrefixMaxTable(
-                [r_y for _, _, _, r_y, _ in inside], vals, [(y, p) for y, p, _, _, _ in inside]
-            )
-            best, par = w_vi, ("INIT",)
-            got = legs.omega(r_vi)
-            if got is not None and got[0] + w_vi > best:
-                best, par = got[0] + w_vi, ("SELF_APPEND", *got[1])
-            W[pos, vi, vi] = best
-            parent[pos, vi, vi] = par
-
-            split_legs = [legs.omega(xs_sorted[zpos]) for zpos in range(zlo, ztop)]
-            for (y, p, l_y, _, tails), best in zip(inside, vals):
-                par = ("COPY", p)
+            bv = None
+            bj = 0
+            for k, (y, p, l_y, copy, tcut, w_pair, tails) in enumerate(legs, 1):
+                if x_coord > l_y:
+                    run_v[k] = bv
+                    run_j[k] = bj
+                    continue
+                best = val = W.get((pos, p, y))
+                par = copy
                 if tails is not None:
-                    got = legs.omega(l_y)
+                    # every cut y reads ends below l_y < r_y, so it is filled
+                    got = run_v[tcut]
                     if got is not None:
-                        cand = got[0] + w_vi + wt[y]
+                        cand = got + w_pair
                         if best is None or cand > best:
-                            best, par = cand, ("TAIL", *got[1])
-                    brk = -1  # rank of the winning split's leg end; no split wins yet
-                    for zi, tail in tails:
-                        got = split_legs[zi]
+                            j = run_j[tcut]
+                            best, par = cand, ("TAIL", legs[j][0], legs[j][1])
+                    sj = -1  # the winning split's leg; no split wins yet
+                    for cut, tail, zpos in tails:
+                        got = run_v[cut]
                         if got is None:
                             continue
-                        cand = got[0] + tail
-                        if best is None or cand > best or (cand == best and rank[got[1][0]] < brk):
-                            best, brk = cand, rank[got[1][0]]
-                            par = ("SPLIT", *got[1], zlo + zi, p)
+                        cand = got + tail
+                        if best is None or cand > best or (cand == best and run_j[cut] < sj):
+                            best, sj, sz = cand, run_j[cut], zpos
+                    if sj >= 0:
+                        par = ("SPLIT", legs[sj][0], legs[sj][1], sz, p)
                 if best is not None:
                     W[pos, vi, y] = best
                     parent[pos, vi, y] = par
+                if val is not None and (bv is None or val > bv):
+                    bv, bj = val, k - 1
+                run_v[k] = bv
+                run_j[k] = bj
+
+            best, par = w_vi, ("INIT",)
+            if bv is not None and bv + w_vi > best:
+                best, par = bv + w_vi, ("SELF_APPEND", legs[bj][0], legs[bj][1])
+            W[pos, vi, vi] = best
+            parent[pos, vi, vi] = par
 
     v0_idx = g.by_name(special.v0)
     assert xs_sorted and xs_sorted[0] == g.left[v0_idx]

@@ -4,8 +4,9 @@ Coordinates are integers at every stage. Only their order matters, so a
 transformation works on the endpoint order, a list of tokens 2v (the left
 end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
 token at position p on coordinate p + 1. A graph keeps its order once it is
-sorted, and a graph made from an order keeps that one, so a solve sorts its
-2n endpoints once, in ``normalize_endpoints``. All 2n endpoints of a
+sorted, and a graph made from an order keeps that one and reads its
+right-endpoint order off it, so a solve sorts its 2n endpoints once, in
+``normalize_endpoints``. All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment
 reduce to strict coordinate comparisons and the right-endpoint order is
 unambiguous.
@@ -39,7 +40,8 @@ class IntervalGraph:
     (u ~ v iff the intervals intersect); neighbor lists are materialized
     lazily by one endpoint sweep and sorted by sigma-rank. The endpoint
     order and its positions are computed on first use and kept, or handed
-    over by ``from_endpoint_order``. The constructor trusts its arguments;
+    over by ``from_endpoint_order``, which also reads ``sigma`` off the
+    order instead of sorting. The constructor trusts its arguments;
     ``build`` is the validating entry point.
 
     Treat instances as frozen: every transformation builds a new graph.
@@ -51,18 +53,26 @@ class IntervalGraph:
     )
 
     def __init__(self, names, left, right, weight):
+        self._fill(names, left, right, weight, None, None)
+
+    def _fill(self, names, left, right, weight, order, pos):
+        """Set every field; sigma is read off ``order`` when one is given,
+        since its right-end tokens come in right-endpoint order."""
         self.names = list(names)
         self.left = list(left)
         self.right = list(right)
         self.weight = list(weight)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.sigma = sorted(range(len(self.names)), key=self.right.__getitem__)
+        if order is None:
+            self.sigma = sorted(range(len(self.names)), key=self.right.__getitem__)
+        else:
+            self.sigma = [t >> 1 for t in order if t & 1]
         self.rank = [0] * len(self.sigma)
-        for pos, v in enumerate(self.sigma):
-            self.rank[v] = pos
+        for p, v in enumerate(self.sigma):
+            self.rank[v] = p
         self._nbrs = None
-        self._order = None
-        self._pos = None
+        self._order = order
+        self._pos = pos
 
     @property
     def n(self) -> int:
@@ -224,12 +234,13 @@ def nesting(order, pos) -> list:
 def from_endpoint_order(names, order, weight) -> IntervalGraph:
     """The graph on 1..2n whose endpoints, read in increasing order, are the
     tokens of ``order``, which it keeps as its endpoint order (position p is
-    coordinate p + 1); names and weights are taken as they are."""
+    coordinate p + 1) and reads sigma off, without sorting; names and
+    weights are taken as they are."""
     pos = token_positions(order)
-    graph = IntervalGraph(
-        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight
+    graph = IntervalGraph.__new__(IntervalGraph)
+    graph._fill(
+        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order, pos
     )
-    graph._order, graph._pos = order, pos
     return graph
 
 

@@ -2,10 +2,11 @@
 
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 from intervalpath.claws import ClawWitness, DeletionSet
+from intervalpath.dp import DpResult, DpTable, _validate, build_xi, reconstruct
 from intervalpath.intervals import IntervalGraph, build, token_order
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
@@ -204,6 +205,164 @@ def reference_prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) ->
             ext[v] = z
             ext.update(moved)
     return DeletionSet(frozenset(kept), deletion.certificates)
+
+
+# The DP's stand-in and leg tables and the DP as it was before its sweep
+# took the stand-ins, neighbors and query cuts from the right-endpoint
+# order, kept verbatim (apart from the DP's name) as test-only references.
+
+
+class PiTable:
+    """Stand-ins: pi(u, v) is the latest dependent-side neighbor of u strictly
+    between u and v in right-endpoint order, or u itself. Each u's
+    dependent-side neighbors are cached; pi itself is not, since the sweep
+    asks for each pair once."""
+
+    def __init__(self, graph: IntervalGraph, b_indices: set):
+        self._g = graph
+        self._b = b_indices
+        self._bn: dict = {}
+
+    def _b_neighbors(self, u: int) -> list:
+        got = self._bn.get(u)
+        if got is None:
+            got = [w for w in self._g.neighbors(u) if w in self._b]
+            self._bn[u] = got
+        return got
+
+    def lookup(self, u: int, v: int) -> int:
+        rank = self._g.rank
+        got = u
+        for w in self._b_neighbors(u):
+            if rank[u] < rank[w] < rank[v]:
+                got = w if rank[w] > rank[got] else got
+        return got
+
+
+class PrefixMaxTable:
+    """Running maxima of leg values keyed by the leg's right endpoint.
+
+    omega(q) is the best (value, x) among candidates with right endpoint
+    strictly below q; ties keep the earliest x in right-endpoint order.
+    """
+
+    def __init__(self, rights: list, vals: list, xs: list):
+        self.rights = rights
+        self.xs = xs
+        self.vals = vals
+        self.best: list = []
+        cur = None
+        for v, x in zip(vals, xs):
+            if cur is None or (v is not None and (cur[0] is None or v > cur[0])):
+                cur = (v, x)
+            self.best.append(cur)
+
+    def omega(self, q):
+        i = bisect_left(self.rights, q)
+        if i == 0:
+            return None
+        got = self.best[i - 1]
+        return None if got is None or got[0] is None else got
+
+
+def reference_max_weight_path(
+    special: SpecialWeightedIntervalGraph, trace_reads: list | None = None
+) -> DpResult:
+    """Best-weight path of the special graph, with parent chains for replay."""
+    _validate(special)
+    g = special.graph
+    xi = build_xi(g, special.A, special.B)
+    xs_sorted = xi.Xi
+    pit = PiTable(g, {g.by_name(nm) for nm in special.B})
+    table = DpTable(graph=g, xi=xi)
+    W, parent = table.W, table.parent
+    rank, left, right, wt = g.rank, g.left, g.right, g.weight
+
+    for vi in g.sigma:
+        r_vi = right[vi]
+        l_vi = left[vi]
+        w_vi = wt[vi]
+        zlo = bisect_right(xs_sorted, l_vi)
+        ztop = zlo
+        # earlier neighbors y with pi(y, v_i) and, when y nests in v_i, its split tails
+        nbrs = []
+        for y in g.neighbors(vi):
+            if rank[y] >= rank[vi]:
+                break
+            p = pit.lookup(y, vi)
+            if trace_reads is not None:
+                trace_reads.append((vi, p))
+            tails = None
+            if left[y] >= l_vi:
+                # (ζ offset from zlo, v_i's weight plus the tail from ζ)
+                tails = []
+                for zpos in range(zlo, bisect_right(xs_sorted, left[y])):
+                    tail = W.get((zpos, p, y))
+                    if tail is not None:
+                        tails.append((zpos - zlo, w_vi + tail))
+                if tails:
+                    ztop = max(ztop, zlo + tails[-1][0] + 1)
+            nbrs.append((y, p, left[y], right[y], tails))
+
+        for pos in range(bisect_left(xs_sorted, r_vi)):
+            x_coord = xs_sorted[pos]
+            inside = [nb for nb in nbrs if x_coord <= nb[2]]
+            vals = [W.get((pos, p, y)) for y, p, _, _, _ in inside]
+            if x_coord > l_vi:
+                for (y, p, _, _, _), val in zip(inside, vals):
+                    if val is not None:
+                        W[pos, vi, y] = val
+                        parent[pos, vi, y] = ("COPY", p)
+                continue
+
+            legs = PrefixMaxTable(
+                [r_y for _, _, _, r_y, _ in inside], vals, [(y, p) for y, p, _, _, _ in inside]
+            )
+            best, par = w_vi, ("INIT",)
+            got = legs.omega(r_vi)
+            if got is not None and got[0] + w_vi > best:
+                best, par = got[0] + w_vi, ("SELF_APPEND", *got[1])
+            W[pos, vi, vi] = best
+            parent[pos, vi, vi] = par
+
+            split_legs = [legs.omega(xs_sorted[zpos]) for zpos in range(zlo, ztop)]
+            for (y, p, l_y, _, tails), best in zip(inside, vals):
+                par = ("COPY", p)
+                if tails is not None:
+                    got = legs.omega(l_y)
+                    if got is not None:
+                        cand = got[0] + w_vi + wt[y]
+                        if best is None or cand > best:
+                            best, par = cand, ("TAIL", *got[1])
+                    brk = -1  # rank of the winning split's leg end; no split wins yet
+                    for zi, tail in tails:
+                        got = split_legs[zi]
+                        if got is None:
+                            continue
+                        cand = got[0] + tail
+                        if best is None or cand > best or (cand == best and rank[got[1][0]] < brk):
+                            best, brk = cand, rank[got[1][0]]
+                            par = ("SPLIT", *got[1], zlo + zi, p)
+                if best is not None:
+                    W[pos, vi, y] = best
+                    parent[pos, vi, y] = par
+
+    v0_idx = g.by_name(special.v0)
+    assert xs_sorted and xs_sorted[0] == g.left[v0_idx]
+    best_key = None
+    best = None
+    for key, val in W.items():
+        if key[0] != 0:
+            continue
+        order = (-val, rank[key[1]], rank[key[2]])
+        if best is None or order < best:
+            best = order
+            best_key = key
+    weight = W[best_key]
+    path = reconstruct(table, best_key)
+    if path == [special.v0]:
+        path = []
+    return DpResult(weight=weight, path=path, table=table)
 
 
 def small_combs(count):

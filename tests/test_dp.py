@@ -4,11 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_simple_paths, split3_special, total_weight
-from intervalpath.dp import (
-    DpTable,
+from helpers import (
     PiTable,
     PrefixMaxTable,
+    all_simple_paths,
+    heavy_tailed,
+    reference_max_weight_path,
+    small_combs,
+    split3_special,
+    total_weight,
+)
+from intervalpath.dp import (
+    DpTable,
     XiSet,
     build_xi,
     max_weight_path,
@@ -16,7 +23,7 @@ from intervalpath.dp import (
     subgraph_contains,
 )
 from intervalpath.errors import InvalidSpecialPartition
-from intervalpath.generators import Lcg
+from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
 from intervalpath.paths import is_normal_path
@@ -233,8 +240,6 @@ def test_dp_matches_brute_force_on_random_specials():
 
 
 def test_dp_matches_brute_force_on_pipeline_specials():
-    from intervalpath.generators import GeneratorSpec, generate
-
     for seed in range(25):
         g = generate(GeneratorSpec(kind="random", n=1 + seed % 11, seed=seed * 11 + 2))
         sp = run_stages(g).special
@@ -291,6 +296,58 @@ def test_reads_never_touch_later_vertices():
         for reader, written in reads:
             assert rank[written] < rank[reader]
     assert saw_any
+
+
+def test_reads_are_the_stand_ins_of_earlier_neighbors():
+    lcg = Lcg(77)
+    for _ in range(40):
+        sp = random_special(lcg)
+        g = sp.graph
+        pit = PiTable(g, {g.by_name(nm) for nm in sp.B})
+        want = [
+            (vi, pit.lookup(y, vi))
+            for vi in g.sigma
+            for y in g.neighbors(vi)
+            if g.rank[y] < g.rank[vi]
+        ]
+        reads = []
+        max_weight_path(sp, trace_reads=reads)
+        assert reads == want
+
+
+def test_dp_builds_no_neighbor_lists():
+    lcg = Lcg(12)
+    for _ in range(10):
+        sp = random_special(lcg)
+        max_weight_path(sp)
+        assert sp.graph._nbrs is None
+
+
+def golden_specials():
+    """Special graphs for the DP against its reference: random small ones,
+    pipeline outputs on heavy-tailed instances and small combs, and those
+    of dense random instances at the benchmark's sizes."""
+    lcg = Lcg(404)
+    specials = [random_special(lcg) for _ in range(60)]
+    graphs = [heavy_tailed(6 + s % 30, 1000 + s) for s in range(100)]
+    graphs += small_combs(3)
+    graphs += [
+        generate(GeneratorSpec(kind="random", n=40 + 8 * (s % 3), seed=700 + s))
+        for s in range(10)
+    ]
+    return specials + [run_stages(g).special for g in graphs]
+
+
+def test_dp_tables_equal_the_reference():
+    for sp in golden_specials():
+        got_reads, want_reads = [], []
+        got = max_weight_path(sp, trace_reads=got_reads)
+        want = reference_max_weight_path(sp, trace_reads=want_reads)
+        assert got.table.W == want.table.W
+        assert got.table.parent == want.table.parent
+        assert got.weight == want.weight
+        assert got.path == want.path
+        assert got_reads == want_reads
 
 
 def test_invalid_partitions_rejected():

@@ -140,6 +140,23 @@ def test_from_endpoint_order_keeps_the_order_it_is_given(claw4):
 
 
 @settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(24)), n=st.integers(0, 12))
+def test_from_endpoint_order_sigma_is_the_right_endpoint_sort(order, n):
+    """Any order of 2n tokens with each left end before its right end."""
+    order = [t for t in order if t < 2 * n]
+    seen = set()
+    for p, t in enumerate(order):
+        if t >> 1 not in seen:
+            order[p] = t & ~1  # the first of v's two tokens is its left end
+        else:
+            order[p] = t | 1
+        seen.add(t >> 1)
+    h = from_endpoint_order([f"v{v}" for v in range(n)], order, [1] * n)
+    assert h.sigma == sorted(range(n), key=h.right.__getitem__)
+    assert h.rank == [h.sigma.index(v) for v in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(3, 12))
 def test_umbrella_property(seed, n):
     """For sigma-ordered u < v < w, an edge uw forces the edge vw."""
