@@ -9,7 +9,9 @@ The corpus:
 
 Per instance the digest covers the semi-proper records and neighbor lists,
 the greedy and pruned deletion sets with the greedy certificates, the
-records of ``widened``, the first reduction's families and back map, the
+records of ``widened``, the first reduction's free vertices ``U``, grid
+``Li``, ``components`` and clusters ``S1`` and its back map, the second
+reduction's grid ``T`` and bins ``Uji`` (``compute_stage2_families``), the
 records of ``stage1.g_sharp`` and ``special.graph``, the DP's tables ``W``
 and ``parent`` from ``max_weight_path(special)`` (sorted by key), and the
 length, path and non-timing stats of ``longest_path``.
@@ -58,6 +60,7 @@ def main(argv: list) -> int:
     from intervalpath.generators import GeneratorSpec, generate
     from intervalpath.intervals import build
     from intervalpath.pipeline import longest_path, run_stages
+    from intervalpath.reduce2 import compute_stage2_families
     from intervalpath.semiproper import make_semi_proper
 
     digest = hashlib.sha256()
@@ -66,6 +69,8 @@ def main(argv: list) -> int:
         st = run_stages(g)
         semi = make_semi_proper(st.normal)
         greedy = approx_deletion_set(semi)
+        fam1 = st.stage1.families
+        fam2 = compute_stage2_families(st.stage1, st.deletion)
         table = max_weight_path(st.special).table
         res = longest_path(g)
         item = (
@@ -76,8 +81,13 @@ def main(argv: list) -> int:
             sorted(st.deletion.marked),
             st.deletion.dummies,
             st.widened.records(),
-            st.stage1.families,
+            fam1.U,
+            fam1.Li,
+            fam1.components,
+            fam1.S1,
             st.stage1.back_map,
+            fam2.T,
+            fam2.Uji,
             st.stage1.g_sharp.records(),
             st.special.graph.records(),
             sorted(table.W.items()),

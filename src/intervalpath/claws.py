@@ -123,7 +123,6 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     alive = [True] * graph.n
     deleted = []
     certs = []
-    rk = graph.rank
     order, pos = graph.endpoint_order(), graph.endpoint_positions()
     nests = nesting(order, pos)
     for u in graph.sigma:
@@ -137,8 +136,7 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
         for w in quad:
             alive[w] = False
             deleted.append(graph.names[w])
-        names = tuple(graph.names[w] for w in sorted(leaves, key=rk.__getitem__))
-        certs.append(ClawWitness(graph.names[u], names))
+        certs.append(_witness(graph, u, leaves))
     return DeletionSet(frozenset(deleted), tuple(certs))
 
 

@@ -15,7 +15,7 @@ import click
 from .errors import InvalidSpec, ParseError
 from .generators import GeneratorSpec, generate
 from .intervals import format_intervals, parse_intervals
-from .matching import kernelize, max_matching, parse_edge_list
+from .matching import matching, parse_edge_list
 from .oracle import brute_longest_path
 from .pipeline import longest_path, run_stages
 
@@ -58,9 +58,10 @@ def gen(kind: str, n: int, k: int, seed: int) -> None:
 def solve(file: str, verify_oracle: bool, as_json: bool) -> None:
     """Longest path of the interval graph in FILE."""
     graph = _load_intervals(file)
-    if any(w != 1 for w in graph.weight):
-        raise click.UsageError("solve expects unit weights")
-    result = longest_path(graph)
+    try:
+        result = longest_path(graph)
+    except InvalidSpec as exc:
+        raise click.UsageError(str(exc)) from exc
     if verify_oracle and graph.n <= 18:
         want, _ = brute_longest_path(graph)
         if want != result.length:
@@ -179,14 +180,12 @@ def match(file: str, k: int) -> None:
         graph = parse_edge_list(Path(file).read_text())
     except ParseError as exc:
         raise click.UsageError(f"cannot parse {file}: {exc}") from exc
-    outcome = kernelize(graph, k)
-    if outcome.verdict == "YES":
-        click.echo("YES")
+    found, outcome = matching(graph, k)
+    click.echo("YES" if found else "NO")
+    if outcome.kernel is None:
         click.echo(f"removed_high_degree={outcome.removed_high_degree} kernel=none")
         return
     small, k_prime = outcome.kernel
-    verdict = "YES" if len(max_matching(small)) >= k_prime else "NO"
-    click.echo(verdict)
     click.echo(
         f"removed_high_degree={outcome.removed_high_degree} "
         f"kernel_n={small.n} kernel_m={small.m} k_prime={k_prime}"

@@ -226,12 +226,19 @@ def max_matching(graph: SimpleGraph) -> frozenset:
     return frozenset((u, match[u]) for u in range(n) if match[u] > u)
 
 
-def decide_matching(graph: SimpleGraph, k: int) -> bool:
-    """True iff the graph has a matching of size k."""
-    if k < 1:
-        return True
+def matching(graph: SimpleGraph, k: int) -> tuple:
+    """Kernelize, then decide on the kernel: (has a k-matching, outcome).
+
+    The answer is yes when the kernelizer says so, and otherwise when the
+    kernel has a matching of size k'. k must be positive.
+    """
     outcome = kernelize(graph, k)
     if outcome.verdict == "YES":
-        return True
+        return True, outcome
     small, k_prime = outcome.kernel
-    return len(max_matching(small)) >= k_prime
+    return len(max_matching(small)) >= k_prime, outcome
+
+
+def decide_matching(graph: SimpleGraph, k: int) -> bool:
+    """True iff the graph has a matching of size k."""
+    return k < 1 or matching(graph, k)[0]

@@ -24,7 +24,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import EmptySet
 from .intervals import (
     IntervalGraph,
     build,
@@ -33,7 +32,7 @@ from .intervals import (
     from_endpoint_order,
     token_order,
 )
-from .reduce1 import Stage1Result
+from .reduce1 import Stage1Result, _proper_run
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,11 @@ class Stage2Families:
 
     ``Uji`` maps 1-based gap pairs (j, i), meaning the left endpoint falls
     between T[j-2] and T[j-1] and the right between T[i-2] and T[i-1], to the
-    bin's vertex names in right-endpoint order. ``S2`` repeats the bins in
-    sorted key order.
+    bin's vertex names in right-endpoint order. Every bin is nonempty.
     """
 
     T: tuple
     Uji: dict
-    S2: tuple
 
 
 @dataclass(frozen=True)
@@ -80,17 +77,9 @@ class SpecialWeightedIntervalGraph:
 
 def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
     """Connected proper induced run, and anything nested in a member sees all."""
-    idx = sorted(
-        {graph.by_name(v) for v in vertices}, key=graph.left.__getitem__
-    )
-    if not idx:
-        raise EmptySet("weak reducibility of nothing")
-    rights = [graph.right[v] for v in idx]
-    if any(a >= b for a, b in zip(rights, rights[1:])):
+    idx = _proper_run(graph, vertices, "weak reducibility of nothing")
+    if idx is None:
         return False
-    for prev, cur in zip(idx, idx[1:]):
-        if graph.left[cur] > graph.right[prev]:
-            return False
     # Containment here is non-strict, so v = u always qualifies and the
     # whole set must sit in N(u) for every member u: cliqueness is baked
     # into the condition rather than being a separate requirement.
@@ -117,10 +106,8 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
         points.add(g.right[v])
     a_of = {comp: name for name, comp in stage1.back_map.items()}
     for comps in stage1.families.components.values():
-        q = len(comps)
-        picks = sorted({0, 1, q - 2, q - 1} & set(range(q)))
-        for t in picks:
-            v = g.by_name(a_of[comps[t]])
+        for comp in {*comps[:2], *comps[-2:]}:
+            v = g.by_name(a_of[comp])
             points.add(g.left[v])
             points.add(g.right[v])
     t_sorted = sorted(points)
@@ -131,8 +118,7 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
         i = bisect_left(t_sorted, g.right[v]) + 1
         uji.setdefault((j, i), []).append(g.names[v])
     uji = {key: tuple(names) for key, names in uji.items()}
-    s2 = tuple(uji[key] for key in sorted(uji))
-    return Stage2Families(T=tuple(t_sorted), Uji=uji, S2=s2)
+    return Stage2Families(T=tuple(t_sorted), Uji=uji)
 
 
 def _spread_records(g: IntervalGraph) -> tuple:

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import total_weight
+from helpers import heavy_tailed, total_weight
 from intervalpath.claws import add_dummies, approx_deletion_set
 from intervalpath.errors import MissingDummies
 from intervalpath.generators import GeneratorSpec, generate
@@ -9,6 +9,47 @@ from intervalpath.oracle import brute_longest_path, brute_max_weight_path
 from intervalpath.pipeline import run_stages
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families, is_reducible
 from intervalpath.semiproper import make_semi_proper
+
+
+def star_cells(graph, fam, marked):
+    """U* and U** per cell of ``fam.Li``, from their definitions.
+
+    U* is the free vertices whose interval crosses no deletion right, each
+    in the cell holding its right end. U** keeps the vertices of a cell whose
+    left end lies above the running waterline: the row's lower deletion
+    right, raised to the largest right end of U* in the row's earlier cells.
+    Both map cell keys to names in right-endpoint order.
+    """
+    d_rights = [graph.right[graph.by_name(nm)] for nm in marked]
+    free = [v for v in graph.sigma if graph.names[v] not in marked]
+    u_star, u_2star = {}, {}
+    for i, pts in fam.Li.items():
+        waterline = pts[0]
+        for x in range(1, len(pts)):
+            cell = [
+                v
+                for v in free
+                if pts[x - 1] < graph.right[v] < pts[x]
+                and not any(graph.left[v] < d < graph.right[v] for d in d_rights)
+            ]
+            u_star[(i, x)] = tuple(graph.names[v] for v in cell)
+            u_2star[(i, x)] = tuple(
+                graph.names[v] for v in cell if graph.left[v] > waterline
+            )
+            waterline = max([waterline] + [graph.right[v] for v in cell])
+    return u_star, u_2star
+
+
+def overlapping_runs(graph, names):
+    """Split names (in right-endpoint order) where an interval misses the previous."""
+    runs = []
+    for nm in names:
+        v = graph.by_name(nm)
+        if runs and graph.left[v] < graph.right[graph.by_name(runs[-1][-1])]:
+            runs[-1].append(nm)
+        else:
+            runs.append([nm])
+    return tuple(map(tuple, runs))
 
 
 def front(graph):
@@ -44,19 +85,24 @@ def test_families_path3_hand_trace(path3):
     fam = compute_stage1_families(g, d)
     lo, hi = d.dummies
     li, hi_i = g.by_name(lo), g.by_name(hi)
-    assert set(fam.L) == {g.left[li], g.left[hi_i]}
-    assert set(fam.R) == {g.right[li], g.right[hi_i]}
+    # the deletion lefts: d0's lies before row 1, d1's splits it
+    assert g.left[li] < fam.Li[1][0] < g.left[hi_i] < fam.Li[1][-1]
+    assert {pts[0] for pts in fam.Li.values()} | {
+        pts[-1] for pts in fam.Li.values()
+    } == {g.right[li], g.right[hi_i]}
     assert set(fam.U) == {"a", "b", "c"}
-    assert set(fam.U_star) == {"a", "b", "c"}
     assert list(fam.Li) == [1]
     assert fam.Li[1] == (g.right[li], g.left[hi_i], g.right[hi_i])
     assert len(fam.Li[1]) - 1 == 2
     assert fam.p_total() == 2
-    assert set(fam.U_star_ix) == {(1, 1), (1, 2)}
-    assert fam.U_star_ix[(1, 1)] == ("a", "b", "c")
-    assert fam.U_star_ix[(1, 2)] == ()
-    assert fam.U_2star_ix[(1, 1)] == ("a", "b", "c")
+    u_star, u_2star = star_cells(g, fam, d.marked)
+    assert set(u_star) == {(1, 1), (1, 2)}
+    assert u_star[(1, 1)] == ("a", "b", "c")
+    assert u_star[(1, 2)] == ()
+    assert u_2star[(1, 1)] == ("a", "b", "c")
+    assert set(fam.components) == {(1, 1), (1, 2)}
     assert fam.components[(1, 1)] == (("a", "b", "c"),)
+    assert fam.components[(1, 2)] == ()
     assert fam.S1 == (("a", "b", "c"),)
 
 
@@ -94,31 +140,55 @@ def test_apply_rule1_empty_family_is_identity(claw4):
 @pytest.mark.parametrize("seed", range(30))
 def test_families_invariants_random(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 12, seed=seed * 31 + 5))
-    st = run_stages(g)
-    widened = st.widened
+    assert_families_match_definitions(run_stages(g))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(
+            generate(GeneratorSpec(kind="random", n=13 + 2 * s, seed=s)),
+            id=f"random{s}",
+        )
+        for s in range(24)
+    ]
+    + [pytest.param(heavy_tailed(30 + s, s), id=f"heavy_tailed{s}") for s in range(6)],
+)
+def test_families_match_definitions_on_larger_inputs(graph):
+    assert_families_match_definitions(run_stages(graph))
+
+
+def assert_families_match_definitions(st):
+    """Grid, free vertices and runs against their definitions on ``widened``."""
+    widened, marked = st.widened, st.deletion.marked
     fam = st.stage1.families
-    k = len(st.deletion.marked) - 2
+    k = len(marked) - 2
     assert fam.p_total() == 2 * (k + 1)
+    d_rights = {widened.right[widened.by_name(nm)] for nm in marked}
     for i in fam.Li:
         pts = fam.Li[i]
-        assert pts[0] in fam.R and pts[-1] in fam.R
+        assert pts[0] in d_rights and pts[-1] in d_rights
         assert list(pts) == sorted(pts)
+    assert fam.U == tuple(
+        widened.names[v] for v in widened.sigma if widened.names[v] not in marked
+    )
+    u_star, u_2star = star_cells(widened, fam, marked)
+    assert set(fam.components) == set(u_star)
     cells_union = set()
-    for cell, members in fam.U_star_ix.items():
+    for (i, x), members in u_star.items():
         assert not (set(members) & cells_union)
         cells_union |= set(members)
-        assert set(fam.U_2star_ix[cell]) <= set(members)
-    assert cells_union == set(fam.U_star)
-    # U*: the free vertices that cross no deletion right, each in the cell
-    # holding its right end
-    for nm in fam.U:
-        v = widened.by_name(nm)
-        l, r = widened.left[v], widened.right[v]
-        assert (nm in fam.U_star) == (not any(l < d < r for d in fam.R))
-    for (i, x), members in fam.U_star_ix.items():
-        for nm in members:
-            r = widened.right[widened.by_name(nm)]
-            assert fam.Li[i][x - 1] < r < fam.Li[i][x]
+        assert set(u_2star[(i, x)]) <= set(members)
+        assert fam.components[(i, x)] == overlapping_runs(widened, u_2star[(i, x)])
+        for comp in fam.components[(i, x)]:
+            assert set(comp) <= set(members)
+            for nm in comp:
+                r = widened.right[widened.by_name(nm)]
+                assert fam.Li[i][x - 1] < r < fam.Li[i][x]
+    assert cells_union <= set(fam.U)
+    assert fam.S1 == tuple(
+        comp for key in sorted(fam.components) for comp in fam.components[key]
+    )
     for s in fam.S1:
         assert is_reducible(widened, s)
     spans = []
