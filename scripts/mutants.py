@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Run a pytest selection against hand-written mutants of the solver.
+
+Each mutant is one textual edit (file, old text, new text). For each, the
+checkout is copied to a temporary directory, the edit is applied there (the
+old text must occur exactly once), and the selection runs on the copy with
+``-x``. A mutant is killed when the selection fails, and survives when it
+passes. The unmutated copy runs first and must pass.
+
+Usage, from a checkout's root:
+
+    python3 scripts/mutants.py [PYTEST_ARGS ...]
+
+PYTEST_ARGS default to ``tests/test_dp.py``. The exit status is 1 if any
+mutant survives. Every mutant is a full pytest run, so this stays out of
+the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DP = "src/intervalpath/dp.py"
+
+# (name, file, old text, new text)
+MUTANTS = [
+    (
+        "prune: keep tails with cut 0",
+        DP,
+        "        if cut == 0:\n            break\n",
+        "",
+    ),
+    (
+        "prune: keep tails below a strictly larger later tail",
+        DP,
+        "        if top is not None and tail < top:\n            continue\n",
+        "",
+    ),
+    (
+        "prune: keep later tails with the same cut",
+        DP,
+        "        if kept and kept[-1][0] == cut:\n"
+        "            kept[-1] = entry\n"
+        "        else:\n"
+        "            kept.append(entry)\n",
+        "        kept.append(entry)\n",
+    ),
+    (
+        "prune: drop a tail equal to one at a larger cut",
+        DP,
+        "if top is not None and tail < top:",
+        "if top is not None and tail <= top:",
+    ),
+    (
+        "split tie: equal leg end moves to the higher ζ",
+        DP,
+        "(cand == best and run_j[cut] < sj)",
+        "(cand == best and run_j[cut] <= sj)",
+    ),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "traces")
+
+
+def run_selection(checkout: Path, args: list) -> tuple:
+    """(passed, seconds) for ``pytest -x`` with ``args`` on ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args],
+        cwd=checkout,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode == 0, time.perf_counter() - start
+
+
+def mutate(checkout: Path, rel: str, old: str, new: str) -> None:
+    path = checkout / rel
+    text = path.read_text()
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{rel}: mutant text found {count} times, want once: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def main() -> int:
+    args = sys.argv[1:] or ["tests/test_dp.py"]
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        shutil.copytree(ROOT, base, ignore=IGNORE)
+        passed, secs = run_selection(base, args)
+        print(f"unmutated: {'passed' if passed else 'FAILED'} ({secs:.1f} s)")
+        if not passed:
+            return 2
+        survivors = 0
+        for name, rel, old, new in MUTANTS:
+            copy = Path(tmp) / "mutant"
+            shutil.copytree(base, copy, ignore=IGNORE)
+            mutate(copy, rel, old, new)
+            passed, secs = run_selection(copy, args)
+            survivors += passed
+            print(f"{'SURVIVED' if passed else 'killed  '}  {name} ({secs:.1f} s)")
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed by {' '.join(args)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,14 @@ is the stand-in π(y, v_i), which ranks below v_i, while every write has
 v_i as its middle index: what is read is final before v_i. So each value
 is read once per v_i, and every ξ row does flat list work only.
 
+- Columns. The table is stored as ``cols[v, y]`` (values) and
+  ``pcols[v, y]`` (parents): lists indexed by ξ position, None where there
+  is no entry. A path ending at y lies above ξ only if ξ <= l_y, so every
+  column ending at y has one slot per ξ <= l_y. Once per v_i, each leg
+  takes its stand-in's column ``cols[π(y, v_i), y]`` and allocates v_i's
+  two output columns for y; the rows then only index lists.
+  ``DpTable.W`` and ``DpTable.parent`` are read-only ``ColumnView``
+  mappings over the columns, keyed by (ξ position, v, y) as before.
 - Stand-ins come from the sweep. After a dependent v_i is swept, it
   becomes ``last_b[y]`` for each earlier neighbor y. Vertices are swept in
   rank order, so when v_i comes, ``last_b[y]`` is the latest dependent
@@ -30,11 +38,36 @@ is read once per v_i, and every ξ row does flat list work only.
   or ζ (SPLIT). Legs are in right-end order, so each query is a prefix of
   them, found by bisection once per v_i; the split tails W[ζ][π(y, v_i), y]
   for ζ in (l_{v_i}, l_y] are read then too, since they do not depend on ξ.
+  The rows of a nested y above l_{v_i} are copies of those same values,
+  and are written then as well.
 - One running-max pass per ξ. The pass over the legs fills ``run_v[c]``
   and ``run_j[c]``, the best value among the first c legs inside ξ and the
   earliest leg holding it, so every query is a list index. A nested y's
   cuts all end below l_y < r_y, so y's entry is decided in the same pass,
   as soon as the pass reaches y; v_i's own entry comes after the pass.
+
+Dominated split tails are dropped once per v_i, by ``undominated_tails``.
+A split at ζ offers run_v[c] + t, where c is the cut below ζ and t the tail
+from ζ. Cuts do not decrease with ζ, and run_v and run_j do not decrease
+with c: run_j moves only when run_v strictly grows. A tail is dropped when
+
+- its cut is 0: no leg ends below ζ, so it offers nothing in any row;
+- a later ζ has a strictly larger tail: that one's cut is no smaller, so
+  its offer is strictly heavier whenever this one offers anything;
+- an earlier ζ with the same cut has a tail at least as large: both read
+  the same run_v and run_j, so this one at best ties on value and leg end,
+  and the earlier ζ wins that tie.
+
+A tail cannot grow with ζ, since a higher ζ leaves fewer vertices, so the
+second rule never fires on a table the DP built; it is what lets a kept
+tail replace one with the same cut without comparing the two.
+
+None of these tails can be the winning split of any row, and each is only
+ever compared against the winner, so dropping them leaves every value and
+every parent as it was: the tie rule (lowest leg-end rank, then lowest ζ)
+picks among the same heaviest offers. A tail equal to a later one with a
+larger cut must stay. Where run_v is equal at both cuts, so is run_j, the
+two offers tie on value and leg end, and the earlier ζ is the parent.
 
 The answer is read at the lowest ξ, the left end of the start vertex v0: a
 zero-weight dependent vertex that ends before every other interval begins,
@@ -45,6 +78,7 @@ checks it; rule 2 names the low sentinel d0 that ``add_dummies`` placed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import CorruptParentChain, InvalidSpecialPartition
@@ -73,15 +107,34 @@ class DpTable:
 
     graph: IntervalGraph
     xi: XiSet
-    W: dict = field(default_factory=dict)
-    parent: dict = field(default_factory=dict)
+    W: Mapping = field(default_factory=dict)
+    parent: Mapping = field(default_factory=dict)
 
 
-def subgraph_contains(graph: IntervalGraph, xi, v_i: str, v: str) -> bool:
-    """Is v squeezed between coordinate xi and the right end of v_i?"""
-    a = graph.by_name(v_i)
-    b = graph.by_name(v)
-    return xi <= graph.left[b] and graph.right[b] <= graph.right[a]
+class ColumnView(Mapping):
+    """Read-only (ξ index, v, y) mapping over columns ``cols[v, y]``: lists
+    indexed by ξ index, with None where there is no entry."""
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: dict):
+        self._cols = cols
+
+    def __getitem__(self, key):
+        pos, v, y = key
+        col = self._cols.get((v, y))
+        if col is not None and 0 <= pos < len(col) and col[pos] is not None:
+            return col[pos]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for (v, y), col in self._cols.items():
+            for pos, val in enumerate(col):
+                if val is not None:
+                    yield pos, v, y
+
+    def __len__(self):
+        return sum(len(col) - col.count(None) for col in self._cols.values())
 
 
 def build_xi(graph: IntervalGraph, a_set: frozenset, b_set: frozenset) -> XiSet:
@@ -129,6 +182,32 @@ def _validate(special: SpecialWeightedIntervalGraph) -> None:
         raise InvalidSpecialPartition("dependent side exceeds its budget")
 
 
+def undominated_tails(tails: list) -> list:
+    """The split tails of one nested leg that can still win a row.
+
+    ``tails`` holds (cut, tail, ζ position) triples by increasing ζ, so the
+    cuts do not decrease. Walking down from the highest ζ, a tail is dropped
+    when its cut is 0 (and so is every tail below it), or when a later ζ has
+    a strictly larger tail; a kept tail replaces the one kept just before it
+    if both have the same cut. The result is again by increasing ζ.
+    """
+    kept = []
+    top = None  # the largest tail at a higher ζ
+    for entry in reversed(tails):
+        cut, tail, _ = entry
+        if cut == 0:
+            break
+        if top is not None and tail < top:
+            continue
+        top = tail
+        if kept and kept[-1][0] == cut:
+            kept[-1] = entry
+        else:
+            kept.append(entry)
+    kept.reverse()
+    return kept
+
+
 def max_weight_path(
     special: SpecialWeightedIntervalGraph, trace_reads: list | None = None
 ) -> DpResult:
@@ -137,13 +216,15 @@ def max_weight_path(
     g = special.graph
     xi = build_xi(g, special.A, special.B)
     xs_sorted = xi.Xi
-    table = DpTable(graph=g, xi=xi)
-    W, parent = table.W, table.parent
     rank, left, right, wt, sigma = g.rank, g.left, g.right, g.weight, g.sigma
     rights = [right[v] for v in sigma]
     dependent = [False] * g.n
     for nm in special.B:
         dependent[g.by_name(nm)] = True
+    # every column ending at y has one slot per ξ <= l_y
+    ends = [bisect_right(xs_sorted, left[v]) for v in range(g.n)]
+    cols = {}
+    pcols = {}
     # last_b[y] = pi(y, v_i): the last dependent vertex swept so far that
     # overlaps y from above, or y itself
     last_b = list(range(g.n))
@@ -152,7 +233,7 @@ def max_weight_path(
         r_vi = right[vi]
         l_vi = left[vi]
         w_vi = wt[vi]
-        zlo = bisect_right(xs_sorted, l_vi)
+        zlo = ends[vi]
         # v_i's earlier neighbors: the vertices before it that end after l_vi
         lo = bisect_right(rights, l_vi, 0, i)
         earlier = sigma[lo:i]
@@ -165,51 +246,48 @@ def max_weight_path(
         # cut c stands for the first c legs; zcut[ζ - zlo] are the legs ending below ζ
         ztop = bisect_right(xs_sorted, max(map(left.__getitem__, earlier), default=l_vi))
         zcut = [bisect_left(rights, xs_sorted[z], lo, i) - lo for z in range(zlo, ztop)]
-        # legs[k] = (y, pi(y, v_i), l_y, COPY parent, cut below l_y, w_vi + w_y,
-        # split tails) for the k-th earlier neighbor; only a nested y (one that
-        # starts inside v_i) has a cut and tails, and it is also in ``nested``
+        # legs[k] = (y, p = pi(y, v_i), p's value column for y, v_i's value and
+        # parent columns for y, their length, cut below l_y, w_vi + w_y, split
+        # tails) for the k-th earlier neighbor. Only a nested y (one that
+        # starts inside v_i) has a cut and tails; its rows above l_vi are
+        # copies, filled here.
         legs = []
-        nested = []
         for y, p in zip(earlier, stand):
-            l_y = left[y]
+            end = ends[y]
+            src = cols[p, y]
+            ow = cols[vi, y] = [None] * end
+            op = pcols[vi, y] = [None] * end
             copy = ("COPY", p)
             tcut = -1
             tails = None
-            if l_y > l_vi:
-                tcut = bisect_left(rights, l_y, lo, i) - lo
+            if left[y] > l_vi:
+                tcut = bisect_left(rights, left[y], lo, i) - lo
                 # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
                 tails = []
-                for zpos in range(zlo, bisect_right(xs_sorted, l_y)):
-                    tail = W.get((zpos, p, y))
+                for zpos in range(zlo, end):
+                    tail = src[zpos]
                     if tail is not None:
+                        ow[zpos] = tail
+                        op[zpos] = copy
                         tails.append((zcut[zpos - zlo], w_vi + tail, zpos))
-                nested.append((y, p, l_y, copy))
-            legs.append((y, p, l_y, copy, tcut, w_vi + wt[y], tails))
+                tails = undominated_tails(tails)
+            legs.append((y, p, src, ow, op, end, copy, tcut, w_vi + wt[y], tails))
 
         # run_v[c], run_j[c]: the best leg value among the first c legs inside
         # ξ and the earliest leg holding it; refilled by every row
         run_v = [None] * (len(legs) + 1)
         run_j = [0] * (len(legs) + 1)
-        for pos in range(bisect_left(xs_sorted, r_vi)):
-            x_coord = xs_sorted[pos]
-            if x_coord > l_vi:
-                # only nested legs lie inside ξ, and none can be extended
-                for y, p, l_y, copy in nested:
-                    if x_coord <= l_y:
-                        val = W.get((pos, p, y))
-                        if val is not None:
-                            W[pos, vi, y] = val
-                            parent[pos, vi, y] = copy
-                continue
-
+        own = cols[vi, vi] = [None] * zlo
+        opar = pcols[vi, vi] = [None] * zlo
+        for pos in range(zlo):
             bv = None
             bj = 0
-            for k, (y, p, l_y, copy, tcut, w_pair, tails) in enumerate(legs, 1):
-                if x_coord > l_y:
+            for k, (y, p, src, ow, op, end, copy, tcut, w_pair, tails) in enumerate(legs, 1):
+                if pos >= end:
                     run_v[k] = bv
                     run_j[k] = bj
                     continue
-                best = val = W.get((pos, p, y))
+                best = val = src[pos]
                 par = copy
                 if tails is not None:
                     # every cut y reads ends below l_y < r_y, so it is filled
@@ -230,8 +308,8 @@ def max_weight_path(
                     if sj >= 0:
                         par = ("SPLIT", legs[sj][0], legs[sj][1], sz, p)
                 if best is not None:
-                    W[pos, vi, y] = best
-                    parent[pos, vi, y] = par
+                    ow[pos] = best
+                    op[pos] = par
                 if val is not None and (bv is None or val > bv):
                     bv, bj = val, k - 1
                 run_v[k] = bv
@@ -240,21 +318,23 @@ def max_weight_path(
             best, par = w_vi, ("INIT",)
             if bv is not None and bv + w_vi > best:
                 best, par = bv + w_vi, ("SELF_APPEND", legs[bj][0], legs[bj][1])
-            W[pos, vi, vi] = best
-            parent[pos, vi, vi] = par
+            own[pos] = best
+            opar[pos] = par
 
     v0_idx = g.by_name(special.v0)
     assert xs_sorted and xs_sorted[0] == g.left[v0_idx]
     best_key = None
     best = None
-    for key, val in W.items():
-        if key[0] != 0:
+    for (v, y), col in cols.items():
+        val = col[0]
+        if val is None:
             continue
-        order = (-val, rank[key[1]], rank[key[2]])
+        order = (-val, rank[v], rank[y])
         if best is None or order < best:
             best = order
-            best_key = key
-    weight = W[best_key]
+            best_key = (0, v, y)
+    table = DpTable(graph=g, xi=xi, W=ColumnView(cols), parent=ColumnView(pcols))
+    weight = table.W[best_key]
     path = reconstruct(table, best_key)
     if path == [special.v0]:
         path = []

@@ -265,6 +265,13 @@ class PrefixMaxTable:
         return None if got is None or got[0] is None else got
 
 
+def subgraph_contains(graph: IntervalGraph, xi, v_i: str, v: str) -> bool:
+    """Is v squeezed between coordinate xi and the right end of v_i?"""
+    a = graph.by_name(v_i)
+    b = graph.by_name(v)
+    return xi <= graph.left[b] and graph.right[b] <= graph.right[a]
+
+
 def reference_max_weight_path(
     special: SpecialWeightedIntervalGraph, trace_reads: list | None = None
 ) -> DpResult:

@@ -12,6 +12,7 @@ from helpers import (
     reference_max_weight_path,
     small_combs,
     split3_special,
+    subgraph_contains,
     total_weight,
 )
 from intervalpath.dp import (
@@ -20,7 +21,7 @@ from intervalpath.dp import (
     build_xi,
     max_weight_path,
     reconstruct,
-    subgraph_contains,
+    undominated_tails,
 )
 from intervalpath.errors import InvalidSpecialPartition
 from intervalpath.generators import GeneratorSpec, Lcg, generate
@@ -98,6 +99,35 @@ def test_subgraph_contains_boundaries():
     assert not subgraph_contains(g, 3, "x", "x")
     assert subgraph_contains(g, 0, "y", "x")
     assert not subgraph_contains(g, 0, "x", "y")
+
+
+@pytest.mark.parametrize(
+    "tails, kept",
+    [
+        ([(0, 9, 3), (1, 2, 4)], [(1, 2, 4)]),
+        ([(1, 3, 3), (2, 4, 4)], [(2, 4, 4)]),
+        ([(1, 4, 3), (1, 4, 4), (1, 3, 5)], [(1, 4, 3)]),
+        ([(1, 4, 3), (2, 4, 4)], [(1, 4, 3), (2, 4, 4)]),
+    ],
+    ids=["cut-zero", "later-larger", "earlier-same-cut", "equal-at-larger-cut-kept"],
+)
+def test_undominated_tails_rules(tails, kept):
+    assert undominated_tails(tails) == kept
+
+
+def test_undominated_tails_match_their_definition():
+    lcg = Lcg(8)
+    for _ in range(300):
+        cuts = sorted(lcg.randrange(4) for _ in range(lcg.randrange(8)))
+        tails = [(c, lcg.randrange(5), z) for z, c in enumerate(cuts)]
+        want = [
+            (c, t, z)
+            for c, t, z in tails
+            if c > 0
+            and not any(t2 > t for _, t2, z2 in tails if z2 > z)
+            and not any(c2 == c and t2 >= t for c2, t2, z2 in tails if z2 < z)
+        ]
+        assert undominated_tails(tails) == want
 
 
 def test_build_xi_split3():
