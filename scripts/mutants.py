@@ -11,9 +11,13 @@ Usage, from a checkout's root:
 
     python3 scripts/mutants.py [PYTEST_ARGS ...]
 
-PYTEST_ARGS default to ``tests/test_dp.py``. The exit status is 1 if any
-mutant survives. Every mutant is a full pytest run, so this stays out of
-the tier-1 suite.
+PYTEST_ARGS default to ``tests/test_dp.py``, which sees the DP mutants
+only; the reduction and sentinel mutants need the whole suite:
+
+    python3 scripts/mutants.py --continue-on-collection-errors
+
+The exit status is 1 if any mutant survives. Every mutant is a full pytest
+run, so this stays out of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DP = "src/intervalpath/dp.py"
+CLAWS = "src/intervalpath/claws.py"
+RULE1 = "src/intervalpath/reduce1.py"
+RULE2 = "src/intervalpath/reduce2.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
@@ -63,6 +70,32 @@ MUTANTS = [
         DP,
         "(cand == best and run_j[cut] < sj)",
         "(cand == best and run_j[cut] <= sj)",
+    ),
+    ("rule 2: clone cap 1", RULE2, "cap = len(deletion.marked) + 4", "cap = 1"),
+    ("rule 2: clone cap 2", RULE2, "cap = len(deletion.marked) + 4", "cap = 2"),
+    (
+        "rule 2: grid takes one outer cluster per side",
+        RULE2,
+        "{*comps[:2], *comps[-2:]}",
+        "{*comps[:1], *comps[-1:]}",
+    ),
+    (
+        "rule 1: waterline never rises",
+        RULE1,
+        "        if cell:\n            waterline = max(waterline, right[cell[-1]])\n",
+        "",
+    ),
+    (
+        "prune: put back a vertex whose return creates a claw elsewhere",
+        CLAWS,
+        " or creates_claw(v, moved):",
+        ":",
+    ),
+    (
+        "sentinels: shift the endpoint order by one token",
+        CLAWS,
+        "*(t + 2 for t in",
+        "*(t + 1 for t in",
     ),
 ]
 

@@ -260,10 +260,9 @@ def exact_deletion_set(
 
 
 def is_proper_representation(graph: IntervalGraph) -> bool:
-    """True iff no interval contains another (left-sorted rights must rise)."""
-    order = sorted(range(graph.n), key=graph.left.__getitem__)
-    rights = [graph.right[v] for v in order]
-    return all(a < b for a, b in zip(rights, rights[1:]))
+    """True iff no interval contains another: the left ends come in the
+    same vertex order as the right ends, sigma."""
+    return [t >> 1 for t in graph.endpoint_order() if not t & 1] == graph.sigma
 
 
 def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
@@ -272,7 +271,8 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
     The low sentinel sits before every endpoint and the high one after, so
     they are isolated, first and last in the right-endpoint order, and both
     join the deletion set. Returns the widened graph and deletion set; the
-    graph is valid by construction and skips ``build``.
+    graph keeps every coordinate, extends the endpoint order by the
+    sentinels' tokens without sorting, and skips ``build``.
     """
     if deletion.dummies is not None:
         raise DoubleAugment("sentinels already added")
@@ -284,11 +284,13 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
         lo, hi = min(graph.left), max(graph.right)
     else:
         lo, hi = 0, 1
+    hi_left = 2 * graph.n + 2
     widened = IntervalGraph(
         [lo_name, *graph.names, hi_name],
         [lo - 2, *graph.left, hi + 1],
         [lo - 1, *graph.right, hi + 2],
         [0, *graph.weight, 0],
+        [0, 1, *(t + 2 for t in graph.endpoint_order()), hi_left, hi_left + 1],
     )
     out = DeletionSet(
         deletion.marked | {lo_name, hi_name},

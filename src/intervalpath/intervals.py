@@ -3,10 +3,12 @@
 Coordinates are integers at every stage. Only their order matters, so a
 transformation works on the endpoint order, a list of tokens 2v (the left
 end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
-token at position p on coordinate p + 1. A graph keeps its order once it is
-sorted, and a graph made from an order keeps that one and reads its
-right-endpoint order off it, so a solve sorts its 2n endpoints once, in
-``normalize_endpoints``. All 2n endpoints of a
+token at position p on coordinate p + 1. Every graph is made with its
+endpoint order and reads its right-endpoint order off it. Three sorts
+remain in a solve: ``build`` sorts the 2n endpoints of each input once, and
+rule 1 and rule 2 each sort the endpoints of the new graph they make.
+Normalizing, making the representation semi-proper and adding the
+sentinels reuse or extend an order they are given. All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment
 reduce to strict coordinate comparisons and the right-endpoint order is
 unambiguous.
@@ -38,11 +40,12 @@ class IntervalGraph:
     identifier. ``sigma`` lists vertex indices by increasing right endpoint,
     ``rank`` is its inverse permutation. Adjacency follows from the intervals
     (u ~ v iff the intervals intersect); neighbor lists are materialized
-    lazily by one endpoint sweep and sorted by sigma-rank. The endpoint
-    order and its positions are computed on first use and kept, or handed
-    over by ``from_endpoint_order``, which also reads ``sigma`` off the
-    order instead of sorting. The constructor trusts its arguments;
-    ``build`` is the validating entry point.
+    lazily, in sigma-rank order, by one sweep over the endpoint order.
+    ``order`` is the endpoint order of ``left`` and ``right``, which every
+    caller already has: ``sigma`` is read off its right-end tokens, so the
+    constructor sorts nothing. Token positions are computed on first use,
+    or handed over by ``from_endpoint_order``. The constructor trusts its
+    arguments; ``build`` is the validating entry point.
 
     Treat instances as frozen: every transformation builds a new graph.
     """
@@ -52,27 +55,19 @@ class IntervalGraph:
         "_nbrs", "_order", "_pos",
     )
 
-    def __init__(self, names, left, right, weight):
-        self._fill(names, left, right, weight, None, None)
-
-    def _fill(self, names, left, right, weight, order, pos):
-        """Set every field; sigma is read off ``order`` when one is given,
-        since its right-end tokens come in right-endpoint order."""
+    def __init__(self, names, left, right, weight, order):
         self.names = list(names)
         self.left = list(left)
         self.right = list(right)
         self.weight = list(weight)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        if order is None:
-            self.sigma = sorted(range(len(self.names)), key=self.right.__getitem__)
-        else:
-            self.sigma = [t >> 1 for t in order if t & 1]
+        self.sigma = [t >> 1 for t in order if t & 1]
         self.rank = [0] * len(self.sigma)
         for p, v in enumerate(self.sigma):
             self.rank[v] = p
         self._nbrs = None
         self._order = order
-        self._pos = pos
+        self._pos = None
 
     @property
     def n(self) -> int:
@@ -87,9 +82,7 @@ class IntervalGraph:
 
     def endpoint_order(self) -> list:
         """Tokens 2v (left end of v) and 2v + 1 (right end) by increasing
-        coordinate. Shared and cached: callers must not mutate it."""
-        if self._order is None:
-            self._order = token_order(self.left, self.right)
+        coordinate. Shared: callers must not mutate it."""
         return self._order
 
     def endpoint_positions(self) -> list:
@@ -117,25 +110,22 @@ class IntervalGraph:
         )
 
     def _build_neighbors(self):
-        # one sweep over sorted endpoints; output-sensitive O(n log n + m)
-        events = []
-        for v in range(self.n):
-            events.append((self.left[v], 1, v))
-            events.append((self.right[v], 0, v))
-        events.sort(key=lambda e: e[0])
+        """Rank-sorted lists in O(n + m), sorting nothing: right ends come
+        in sigma order, and the intervals open at one are its neighbors
+        above it; one pass over sigma then adds those above to each list."""
         adj = [[] for _ in range(self.n)]
         active = set()
-        for _, is_left, v in events:
-            if is_left:
+        for t in self._order:
+            v = t >> 1
+            if t & 1:
+                active.discard(v)
                 for u in active:
                     adj[u].append(v)
-                    adj[v].append(u)
-                active.add(v)
             else:
-                active.discard(v)
-        rk = self.rank
-        for lst in adj:
-            lst.sort(key=rk.__getitem__)
+                active.add(v)
+        for u in self.sigma:
+            for w in adj[u]:
+                adj[w].append(u)
         self._nbrs = adj
 
     def records(self) -> list:
@@ -158,7 +148,8 @@ def exact_weight(num, den=1):
 def build(items: Iterable) -> IntervalGraph:
     """Validate and build a graph from (name, left, right[, weight]) tuples.
 
-    Weights default to 1 and are stored by ``exact_weight``.
+    Weights default to 1 and are stored by ``exact_weight``. The endpoints
+    are sorted here, once per input; later stages reuse that order.
     """
     names, lefts, rights, weights = [], [], [], []
     for item in items:
@@ -189,7 +180,7 @@ def build(items: Iterable) -> IntervalGraph:
             if c in seen:
                 raise DuplicateEndpoint(str(c))
             seen.add(c)
-    return IntervalGraph(names, lefts, rights, weights)
+    return IntervalGraph(names, lefts, rights, weights, token_order(lefts, rights))
 
 
 def span(graph: IntervalGraph, vertices) -> tuple:
@@ -234,20 +225,20 @@ def nesting(order, pos) -> list:
 def from_endpoint_order(names, order, weight) -> IntervalGraph:
     """The graph on 1..2n whose endpoints, read in increasing order, are the
     tokens of ``order``, which it keeps as its endpoint order (position p is
-    coordinate p + 1) and reads sigma off, without sorting; names and
-    weights are taken as they are."""
+    coordinate p + 1); names and weights are taken as they are. It sorts
+    nothing, and hands over the token positions it computes."""
     pos = token_positions(order)
-    graph = IntervalGraph.__new__(IntervalGraph)
-    graph._fill(
-        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order, pos
+    graph = IntervalGraph(
+        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order
     )
+    graph._pos = pos
     return graph
 
 
 def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
     """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent).
 
-    Input and output share one endpoint order, sorted here once."""
+    Input and output share one endpoint order, the one ``build`` sorted."""
     return from_endpoint_order(graph.names, graph.endpoint_order(), graph.weight)
 
 

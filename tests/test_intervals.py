@@ -11,6 +11,7 @@ from intervalpath.errors import (
     ParseError,
 )
 from helpers import heavy_tailed
+from intervalpath.claws import is_proper_representation
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import (
     build,
@@ -115,8 +116,8 @@ def test_normalize_preserves_structure(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(1, 30))
 def test_endpoint_order_answers_match_pairwise_checks(seed, n):
-    """Order, positions, edge count, nesting and neighbor lists, all read off
-    one endpoint sweep, against the pairwise definitions."""
+    """Order, positions, edge count, nesting, properness and neighbor lists,
+    all read off one endpoint sweep, against the pairwise definitions."""
     g = heavy_tailed(n, seed)
     order, pos = g.endpoint_order(), g.endpoint_positions()
     ends = [g.right[t >> 1] if t & 1 else g.left[t >> 1] for t in order]
@@ -126,6 +127,9 @@ def test_endpoint_order_answers_match_pairwise_checks(seed, n):
     assert nesting(order, pos) == [
         any(g.contains_interval(u, v) for v in range(n)) for u in range(n)
     ]
+    assert is_proper_representation(g) == (
+        not any(g.contains_interval(u, v) for u in range(n) for v in range(n))
+    )
     for v in range(n):
         want = [w for w in g.sigma if g.adjacent(v, w)]
         assert g.neighbors(v) == want

@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import crafted_special, heavy_tailed, small_combs, total_weight
-from intervalpath import pipeline
+from intervalpath import intervals, pipeline
 from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
 from intervalpath.generators import GeneratorSpec, Lcg, generate
@@ -9,6 +9,7 @@ from intervalpath.intervals import IntervalGraph, build
 from intervalpath.oracle import brute_longest_path
 from intervalpath.paths import is_normal_path, is_path
 from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path, run_stages
+from intervalpath.semiproper import make_semi_proper
 
 STAT_KEYS = {
     "n",
@@ -255,6 +256,29 @@ def test_front_end_builds_one_adjacency(make, monkeypatch):
     res = longest_path(g)
     assert res.length == len(res.path) and is_path(g, res.path)
     assert len(sizes) <= 1, sizes
+
+
+def test_each_input_is_sorted_once(monkeypatch):
+    """``build`` sorts the input's endpoints once, and the solve reuses that
+    order; rule 1 and rule 2 bind their own ``token_order``, so the counter
+    sees only the front end. The sentinels extend the semi-proper order."""
+    records = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)).records()
+    calls = []
+    real = intervals.token_order
+
+    def counting(left, right):
+        calls.append(len(left))
+        return real(left, right)
+
+    monkeypatch.setattr(intervals, "token_order", counting)
+    g = build(records)
+    assert calls == [len(records)]
+    res = longest_path(g)
+    assert calls == [len(records)]
+    assert is_path(g, res.path)
+    st = run_stages(g)
+    semi = make_semi_proper(st.normal)
+    assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in semi.endpoint_order()]
 
 
 def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):

@@ -207,9 +207,10 @@ def test_stage2_invariants_random(seed):
     ids=["planted", "comb"],
 )
 def test_stage_graphs_are_valid_representations(make):
-    st = run_stages(make())
+    g = make()
+    st = run_stages(g)
     semi = make_semi_proper(st.normal)
-    for graph in (semi, st.widened, st.stage1.g_sharp, st.special.graph):
+    for graph in (g, st.normal, semi, st.widened, st.stage1.g_sharp, st.special.graph):
         assert_valid_representation(graph)
 
 
