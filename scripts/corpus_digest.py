@@ -73,19 +73,25 @@ def main(argv: list) -> int:
         fam2 = compute_stage2_families(st.stage1, st.deletion)
         table = max_weight_path(st.special).table
         res = longest_path(g)
+        # index fields are hashed by name, as they were first defined
+        wn = st.widened.names
+
+        def named(vs, names=wn):
+            return tuple(names[v] for v in vs)
+
         item = (
             semi.records(),
             [semi.neighbors(v) for v in range(semi.n)],
-            sorted(greedy.marked),
+            sorted(named(greedy.marked, semi.names)),
             greedy.certificates,
-            sorted(st.deletion.marked),
-            st.deletion.dummies,
+            sorted(named(st.deletion.marked)),
+            named(st.deletion.dummies),
             st.widened.records(),
-            fam1.U,
+            named(fam1.U),
             fam1.Li,
-            fam1.components,
-            fam1.S1,
-            st.stage1.back_map,
+            {key: tuple(map(named, runs)) for key, runs in fam1.components.items()},
+            tuple(map(named, fam1.S1)),
+            {a: named(comp) for a, comp in st.stage1.back_map.items()},
             fam2.T,
             fam2.Uji,
             st.stage1.g_sharp.records(),

@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DP = "src/intervalpath/dp.py"
 CLAWS = "src/intervalpath/claws.py"
+INTERVALS = "src/intervalpath/intervals.py"
 RULE1 = "src/intervalpath/reduce1.py"
 RULE2 = "src/intervalpath/reduce2.py"
 
@@ -82,7 +83,7 @@ MUTANTS = [
     (
         "rule 1: waterline never rises",
         RULE1,
-        "        if cell:\n            waterline = max(waterline, right[cell[-1]])\n",
+        "        if last >= 0:\n            waterline = max(waterline, right[last])\n",
         "",
     ),
     (
@@ -93,9 +94,33 @@ MUTANTS = [
     ),
     (
         "sentinels: shift the endpoint order by one token",
-        CLAWS,
-        "*(t + 2 for t in",
-        "*(t + 1 for t in",
+        INTERVALS,
+        "*map((2).__add__, graph.endpoint_order())",
+        "*map((1).__add__, graph.endpoint_order())",
+    ),
+    (
+        "validation: accept duplicate endpoints",
+        INTERVALS,
+        "    if len(set(coords)) != len(coords):\n",
+        "    if False:\n",
+    ),
+    (
+        "validation: accept degenerate intervals",
+        INTERVALS,
+        "    if not all(map(lt, lefts, rights)):\n",
+        "    if False:\n",
+    ),
+    (
+        "validation: accept duplicate names",
+        INTERVALS,
+        "    if len(index) != len(names):\n",
+        "    if False:\n",
+    ),
+    (
+        "parse: accept any token count per line",
+        INTERVALS,
+        "    elif widths <= {3, 5}:\n",
+        "    elif True:\n",
     ),
 ]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DoubleAugment
-from .intervals import IntervalGraph, fresh_name, nesting
+from .intervals import IntervalGraph, fresh_name, nesting, with_sentinels
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,12 @@ class ClawWitness:
 class DeletionSet:
     """Vertices whose removal leaves a proper representation.
 
+    ``marked`` holds vertex indices of the graph the set was computed on.
     ``certificates`` holds the vertex-disjoint claws packed during the greedy
-    round; the greedy set is their union, and after pruning ``marked`` is a
-    subset of it. Exact solving leaves it empty.
-    ``dummies`` is None until the two sentinels are appended.
+    round, by name; the greedy set is their union, and after pruning
+    ``marked`` is a subset of it. Exact solving leaves it empty.
+    ``dummies`` is None until the two sentinels are appended, then their
+    indices in the widened graph, 0 and n + 1.
     """
 
     marked: frozenset
@@ -87,8 +89,9 @@ def _claw_leaves(order: list, pos: list, u: int, alive) -> tuple | None:
 
 
 def _witness(graph: IntervalGraph, u: int, leaves: tuple) -> ClawWitness:
-    rk = graph.rank
-    names = tuple(graph.names[w] for w in sorted(leaves, key=rk.__getitem__))
+    """The claw by name, leaves in right-endpoint order."""
+    pos = graph.endpoint_positions()
+    names = tuple(graph.names[w] for w in sorted(leaves, key=lambda w: pos[2 * w + 1]))
     return ClawWitness(graph.names[u], names)
 
 
@@ -135,7 +138,7 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
         quad = (u,) + leaves
         for w in quad:
             alive[w] = False
-            deleted.append(graph.names[w])
+        deleted.extend(quad)
         certs.append(_witness(graph, u, leaves))
     return DeletionSet(frozenset(deleted), tuple(certs))
 
@@ -160,8 +163,8 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
     """
     order, pos = graph.endpoint_order(), graph.endpoint_positions()
     alive = [True] * graph.n
-    for nm in deletion.marked:
-        alive[graph.by_name(nm)] = False
+    for v in deletion.marked:
+        alive[v] = False
     covering = {}
     open_ = set()
     for t in order:
@@ -199,14 +202,14 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
         return False
 
     kept = []
-    marked = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    marked = sorted(deletion.marked, key=lambda v: pos[2 * v + 1])
     for v in reversed(marked):
         alive[v] = True
         z = _extremes(order, pos, v, alive)
         moved = []
         if _middle_leaf(order, pos, *z, alive) is not None or creates_claw(v, moved):
             alive[v] = False
-            kept.append(graph.names[v])
+            kept.append(v)
         else:
             ext[v] = z
             ext.update(moved)
@@ -255,7 +258,7 @@ def exact_deletion_set(
     for k in range(k_max + 1):
         chosen: list = []
         if search(k, chosen):
-            return DeletionSet(frozenset(graph.names[w] for w in chosen), ())
+            return DeletionSet(frozenset(chosen), ())
     return None
 
 
@@ -270,31 +273,19 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
 
     The low sentinel sits before every endpoint and the high one after, so
     they are isolated, first and last in the right-endpoint order, and both
-    join the deletion set. Returns the widened graph and deletion set; the
-    graph keeps every coordinate, extends the endpoint order by the
-    sentinels' tokens without sorting, and skips ``build``.
+    join the deletion set. Returns the widened graph (``with_sentinels``),
+    in which every vertex moves one place up, and the deletion set on it.
     """
     if deletion.dummies is not None:
         raise DoubleAugment("sentinels already added")
-    taken = set(graph.names)
-    lo_name = fresh_name("d0", taken)
-    taken.add(lo_name)
-    hi_name = fresh_name(f"d{len(deletion.marked) + 1}", taken)
-    if graph.n:
-        lo, hi = min(graph.left), max(graph.right)
-    else:
-        lo, hi = 0, 1
-    hi_left = 2 * graph.n + 2
-    widened = IntervalGraph(
-        [lo_name, *graph.names, hi_name],
-        [lo - 2, *graph.left, hi + 1],
-        [lo - 1, *graph.right, hi + 2],
-        [0, *graph.weight, 0],
-        [0, 1, *(t + 2 for t in graph.endpoint_order()), hi_left, hi_left + 1],
-    )
+    # The two bases differ in their digits, so neither name can take the other.
+    lo_name = fresh_name("d0", graph.index)
+    hi_name = fresh_name(f"d{len(deletion.marked) + 1}", graph.index)
+    widened = with_sentinels(graph, lo_name, hi_name)
+    lo, hi = 0, widened.n - 1
     out = DeletionSet(
-        deletion.marked | {lo_name, hi_name},
+        frozenset([lo, *map((1).__add__, deletion.marked), hi]),
         deletion.certificates,
-        (lo_name, hi_name),
+        (lo, hi),
     )
     return widened, out

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import click
 
-from .errors import InvalidSpec, ParseError
+from .errors import (
+    DegenerateInterval,
+    DuplicateEndpoint,
+    DuplicateVertexId,
+    InvalidSpec,
+    ParseError,
+)
 from .generators import GeneratorSpec, generate
 from .intervals import format_intervals, parse_intervals
 from .matching import matching, parse_edge_list
@@ -31,10 +37,12 @@ def main() -> None:
 
 
 def _load_intervals(path: str):
+    """The graph in an interval file; a malformed or invalid file is a usage
+    error (exit 2), reported without a traceback."""
     try:
         return parse_intervals(Path(path).read_text())
-    except ParseError as exc:
-        raise click.UsageError(f"cannot parse {path}: {exc}") from exc
+    except (ParseError, DuplicateVertexId, DuplicateEndpoint, DegenerateInterval) as exc:
+        raise click.UsageError(f"cannot parse {path}: {type(exc).__name__}: {exc}") from exc
 
 
 @main.command()
@@ -88,7 +96,7 @@ def reduce(file: str, stage: str) -> None:
         stage1 = stages.stage1
         out = stage1.g_sharp
         notes = [
-            "# d: " + " ".join(sorted(stages.deletion.marked)),
+            "# d: " + " ".join(sorted(stages.widened.names[v] for v in stages.deletion.marked)),
             "# a: " + " ".join(sorted(stage1.A)),
             "# u_sharp: " + " ".join(sorted(stage1.U_sharp)),
         ]

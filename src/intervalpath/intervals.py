@@ -5,23 +5,32 @@ transformation works on the endpoint order, a list of tokens 2v (the left
 end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
 token at position p on coordinate p + 1. Every graph is made with its
 endpoint order and reads its right-endpoint order off it. Three sorts
-remain in a solve: ``build`` sorts the 2n endpoints of each input once, and
-rule 1 and rule 2 each sort the endpoints of the new graph they make.
+remain in a solve: ``build`` or ``parse_intervals`` sorts the 2n endpoints
+of each input once, and rule 1 and rule 2 each sort the endpoints of the
+new graph they make.
 Normalizing, making the representation semi-proper and adding the
 sentinels reuse or extend an order they are given. All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment
 reduce to strict coordinate comparisons and the right-endpoint order is
 unambiguous.
 
-``build`` validates external input: parsed files, generators, library
-callers. A stage that derives a graph from one that is already valid keeps
-validity by construction and calls the ``IntervalGraph`` constructor (or
-``from_endpoint_order``) directly.
+``build`` and ``parse_intervals`` validate external input: parsed files,
+generators, library callers. A stage that derives a graph from one that is
+already valid keeps validity by construction and calls the ``IntervalGraph``
+constructor (or ``from_endpoint_order``) directly.
+
+Names live at the edges. The input's name index is the dict its duplicate
+check fills; a graph with the same vertices shares it (``renumbered``), and
+the graph with the sentinels looks names up through it (``with_sentinels``).
+Every other graph builds its index on first use, and inside a solve only
+the small graphs after rule 1 are asked for one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from operator import lt
 from typing import Iterable
 
 from .errors import (
@@ -38,40 +47,60 @@ class IntervalGraph:
 
     Vertices are dense indices 0..n-1 internally; ``names[i]`` is the external
     identifier. ``sigma`` lists vertex indices by increasing right endpoint,
-    ``rank`` is its inverse permutation. Adjacency follows from the intervals
-    (u ~ v iff the intervals intersect); neighbor lists are materialized
-    lazily, in sigma-rank order, by one sweep over the endpoint order.
+    ``rank`` is its inverse permutation and ``index`` maps names back to
+    indices. Adjacency follows from the intervals (u ~ v iff the intervals
+    intersect); neighbor lists are materialized lazily, in sigma-rank order,
+    by one sweep over the endpoint order.
+
     ``order`` is the endpoint order of ``left`` and ``right``, which every
-    caller already has: ``sigma`` is read off its right-end tokens, so the
-    constructor sorts nothing. Token positions are computed on first use,
-    or handed over by ``from_endpoint_order``. The constructor trusts its
-    arguments; ``build`` is the validating entry point.
+    caller already has. ``sigma`` is read off its right-end tokens, so the
+    constructor sorts nothing. It computes nothing either: ``sigma``,
+    ``rank``, ``index`` and the token positions are built on first use, and
+    a stage that derives a graph with the same vertices hands over those it
+    already has (``renumbered``). The constructor keeps the lists it is given
+    and trusts them; ``build`` is the validating entry point.
 
     Treat instances as frozen: every transformation builds a new graph.
     """
 
     __slots__ = (
-        "names", "index", "left", "right", "weight", "sigma", "rank",
-        "_nbrs", "_order", "_pos",
+        "names", "left", "right", "weight",
+        "_sigma", "_rank", "_index", "_nbrs", "_order", "_pos",
     )
 
     def __init__(self, names, left, right, weight, order):
-        self.names = list(names)
-        self.left = list(left)
-        self.right = list(right)
-        self.weight = list(weight)
-        self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.sigma = [t >> 1 for t in order if t & 1]
-        self.rank = [0] * len(self.sigma)
-        for p, v in enumerate(self.sigma):
-            self.rank[v] = p
-        self._nbrs = None
+        self.names = names
+        self.left = left
+        self.right = right
+        self.weight = weight
         self._order = order
-        self._pos = None
+        self._sigma = self._rank = self._index = self._nbrs = self._pos = None
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def sigma(self) -> list:
+        if self._sigma is None:
+            self._sigma = [t >> 1 for t in self._order if t & 1]
+        return self._sigma
+
+    @property
+    def rank(self) -> list:
+        if self._rank is None:
+            rank = [0] * self.n
+            for p, v in enumerate(self.sigma):
+                rank[v] = p
+            self._rank = rank
+        return self._rank
+
+    @property
+    def index(self):
+        """Name -> vertex index. Shared and cached: callers must not mutate it."""
+        if self._index is None:
+            self._index = name_index(self.names)
+        return self._index
 
     def adjacent(self, u: int, v: int) -> bool:
         return u != v and self.left[u] < self.right[v] and self.left[v] < self.right[u]
@@ -89,7 +118,7 @@ class IntervalGraph:
         """The position of every token in ``endpoint_order()``. Shared and
         cached: callers must not mutate it."""
         if self._pos is None:
-            self._pos = token_positions(self.endpoint_order())
+            self._pos = token_positions(self._order)
         return self._pos
 
     def neighbors(self, v: int) -> list:
@@ -98,16 +127,14 @@ class IntervalGraph:
         return self._nbrs[v]
 
     def edge_count(self) -> int:
-        """Edges counted in the endpoint order, without neighbor lists.
+        """Edges counted off the token positions, without neighbor lists.
 
         The i-th left end (from 0) at position p_i sees 2i - p_i intervals
         open, each an edge to a neighbor that started earlier; summed over
         all left ends that is n(n - 1) minus the left ends' positions.
         """
         n = self.n
-        return n * (n - 1) - sum(
-            p for p, t in enumerate(self.endpoint_order()) if not t & 1
-        )
+        return n * (n - 1) - sum(self.endpoint_positions()[0::2])
 
     def _build_neighbors(self):
         """Rank-sorted lists in O(n + m), sorting nothing: right ends come
@@ -130,13 +157,15 @@ class IntervalGraph:
 
     def records(self) -> list:
         """(name, left, right, weight) tuples, handy for building edited copies."""
-        return [
-            (self.names[i], self.left[i], self.right[i], self.weight[i])
-            for i in range(self.n)
-        ]
+        return list(zip(self.names, self.left, self.right, self.weight))
 
     def by_name(self, name: str) -> int:
         return self.index[name]
+
+
+def name_index(names) -> dict:
+    """Name -> position in ``names``: the index a graph builds on first use."""
+    return dict(zip(names, range(len(names))))
 
 
 def exact_weight(num, den=1):
@@ -165,14 +194,25 @@ def build(items: Iterable) -> IntervalGraph:
         lefts.append(l)
         rights.append(r)
         weights.append(w)
-    seen_names = set()
-    for nm in names:
-        if nm in seen_names:
-            raise DuplicateVertexId(repr(nm))
-        seen_names.add(nm)
-    for nm, l, r in zip(names, lefts, rights):
-        if not l < r:
-            raise DegenerateInterval(f"{nm!r}: [{l}, {r}]")
+    return _validated(names, lefts, rights, weights)
+
+
+def _validated(names, lefts, rights, weights) -> IntervalGraph:
+    """The graph on these columns after the checks every input passes:
+    unique names, l < r, 2n distinct endpoints. The name index built for the
+    first check becomes the graph's ``index``; a failing check scans again
+    to name the first offender."""
+    index = name_index(names)
+    if len(index) != len(names):
+        seen = set()
+        for nm in names:
+            if nm in seen:
+                raise DuplicateVertexId(repr(nm))
+            seen.add(nm)
+    if not all(map(lt, lefts, rights)):
+        for nm, l, r in zip(names, lefts, rights):
+            if not l < r:
+                raise DegenerateInterval(f"{nm!r}: [{l}, {r}]")
     coords = lefts + rights
     if len(set(coords)) != len(coords):
         seen = set()
@@ -180,7 +220,9 @@ def build(items: Iterable) -> IntervalGraph:
             if c in seen:
                 raise DuplicateEndpoint(str(c))
             seen.add(c)
-    return IntervalGraph(names, lefts, rights, weights, token_order(lefts, rights))
+    graph = IntervalGraph(names, lefts, rights, weights, token_order(lefts, rights))
+    graph._index = index
+    return graph
 
 
 def span(graph: IntervalGraph, vertices) -> tuple:
@@ -222,12 +264,14 @@ def nesting(order, pos) -> list:
     return nests
 
 
-def from_endpoint_order(names, order, weight) -> IntervalGraph:
+def from_endpoint_order(names, order, weight, pos=None) -> IntervalGraph:
     """The graph on 1..2n whose endpoints, read in increasing order, are the
     tokens of ``order``, which it keeps as its endpoint order (position p is
     coordinate p + 1); names and weights are taken as they are. It sorts
-    nothing, and hands over the token positions it computes."""
-    pos = token_positions(order)
+    nothing, and keeps the token positions: ``pos`` when the caller has
+    them, else computed here."""
+    if pos is None:
+        pos = token_positions(order)
     graph = IntervalGraph(
         names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order
     )
@@ -235,11 +279,69 @@ def from_endpoint_order(names, order, weight) -> IntervalGraph:
     return graph
 
 
+def renumbered(graph: IntervalGraph, order, pos=None) -> IntervalGraph:
+    """``graph``'s vertices, names and weights laid out on 1..2n by a new
+    endpoint order (see ``from_endpoint_order``). The numbering of the
+    vertices does not change, so the name index is shared, not rebuilt."""
+    out = from_endpoint_order(graph.names, order, graph.weight, pos)
+    out._index = graph._index
+    return out
+
+
 def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
     """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent).
 
-    Input and output share one endpoint order, the one ``build`` sorted."""
-    return from_endpoint_order(graph.names, graph.endpoint_order(), graph.weight)
+    Input and output share one endpoint order, the one ``build`` sorted, so
+    they also share sigma, rank and the token positions, as far as the input
+    has them yet."""
+    out = renumbered(graph, graph.endpoint_order(), graph._pos)
+    out._sigma, out._rank = graph._sigma, graph._rank
+    return out
+
+
+class _PaddedIndex(Mapping):
+    """The name index of a graph whose vertices are those of a graph with
+    index ``inner``, one place up, between a first vertex ``lo`` and a last
+    one ``hi``: a view over ``inner``, made in O(1)."""
+
+    def __init__(self, inner, lo: str, hi: str):
+        self._inner, self._lo, self._hi = inner, lo, hi
+
+    def __getitem__(self, name) -> int:
+        if name == self._lo:
+            return 0
+        if name == self._hi:
+            return len(self._inner) + 1
+        return self._inner[name] + 1
+
+    def __iter__(self):
+        yield self._lo
+        yield from self._inner
+        yield self._hi
+
+    def __len__(self) -> int:
+        return len(self._inner) + 2
+
+
+def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
+    """``graph`` between two isolated zero-weight intervals named ``lo`` and
+    ``hi`` (fresh names), which become vertices 0 and n + 1. Every
+    coordinate is kept, the endpoint order is extended by the two intervals'
+    tokens without sorting, and name lookups go through ``graph``'s index."""
+    if graph.n:
+        first, last = min(graph.left), max(graph.right)
+    else:
+        first, last = 0, 1
+    top = 2 * graph.n + 2
+    out = IntervalGraph(
+        [lo, *graph.names, hi],
+        [first - 2, *graph.left, last + 1],
+        [first - 1, *graph.right, last + 2],
+        [0, *graph.weight, 0],
+        [0, 1, *map((2).__add__, graph.endpoint_order()), top, top + 1],
+    )
+    out._index = _PaddedIndex(graph.index, lo, hi)
+    return out
 
 
 def fresh_name(base: str, taken) -> str:
@@ -254,35 +356,67 @@ def parse_intervals(text: str) -> IntervalGraph:
 
     First data line: n. Then n lines ``vertex_id left right [num den]``,
     whitespace-separated; the weight defaults to 1/1. ``#`` starts a comment.
+
+    Malformed text raises ``ParseError``, a negative weight included; the
+    checks every input passes (see ``build``) raise their own errors. The
+    lines are split and the columns converted whole, so a file without
+    weights runs no Python loop per line unless a check fails; the graph is
+    made here, without a second walk in ``build``.
     """
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.partition("#")[0] for ln in lines]
+    rows = list(filter(None, map(str.split, lines)))
     if not rows:
         raise ParseError("empty file")
+    head, body = rows[0], rows[1:]
     try:
-        n = int(rows[0])
+        (n,) = head
+        n = int(n)
     except ValueError:
-        raise ParseError(f"bad vertex count line: {rows[0]!r}") from None
+        raise ParseError(f"bad vertex count line: {_data_line(lines, 0)!r}") from None
     if n < 0:
         raise ParseError("negative vertex count")
-    if len(rows) != n + 1:
-        raise ParseError(f"expected {n} interval lines, found {len(rows) - 1}")
-    items = []
-    for line in rows[1:]:
-        tok = line.split()
-        if len(tok) not in (3, 5):
-            raise ParseError(f"bad interval line: {line!r}")
-        nm = tok[0]
-        try:
-            l, r = int(tok[1]), int(tok[2])
-            w = exact_weight(int(tok[3]), int(tok[4])) if len(tok) == 5 else 1
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad interval line: {line!r}") from None
-        items.append((nm, l, r, w))
-    return build(items)
+    if len(body) != n:
+        raise ParseError(f"expected {n} interval lines, found {len(body)}")
+    try:
+        names, lefts, rights, weights = _columns(body)
+    except (ValueError, ZeroDivisionError):
+        for i, row in enumerate(body, 1):
+            try:
+                _columns([row])
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad interval line: {_data_line(lines, i)!r}") from None
+        raise
+    if weights and min(weights) < 0:
+        nm = names[weights.index(min(weights))]
+        raise ParseError(f"negative weight for {nm!r}")
+    return _validated(names, lefts, rights, weights)
+
+
+def _columns(body: list) -> tuple:
+    """Names, lefts, rights and weights of the split interval lines; raises
+    ValueError or ZeroDivisionError on any malformed line."""
+    if not body:
+        return [], [], [], []
+    widths = set(map(len, body))
+    if widths == {3}:
+        names, ls, rs = zip(*body)
+        weights = [1] * len(body)
+    elif widths <= {3, 5}:
+        names, ls, rs = zip(*(tok[:3] for tok in body))
+        weights = [
+            exact_weight(int(tok[3]), int(tok[4])) if len(tok) == 5 else 1
+            for tok in body
+        ]
+    else:
+        raise ValueError("bad token count")
+    return list(names), list(map(int, ls)), list(map(int, rs)), weights
+
+
+def _data_line(lines: list, i: int) -> str:
+    """The i-th nonblank line, stripped, for a message."""
+    return [line.strip() for line in lines if line.strip()][i]
 
 
 def format_intervals(graph: IntervalGraph) -> str:

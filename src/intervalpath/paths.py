@@ -9,13 +9,15 @@ greedy construction below finds it or proves there is none.
 
 from __future__ import annotations
 
+from operator import lt
+
 from .errors import EmptySet, InvalidPath, NormalizationFailed
 from .intervals import IntervalGraph
 
 
 def _to_indices(graph: IntervalGraph, names) -> list:
     try:
-        return [graph.index[nm] for nm in names]
+        return list(map(graph.index.__getitem__, names))
     except KeyError as exc:
         raise InvalidPath(f"unknown vertex {exc.args[0]!r}") from None
 
@@ -28,7 +30,10 @@ def is_path(graph: IntervalGraph, names) -> bool:
         return False
     if not idx or len(set(idx)) != len(idx):
         return False
-    return all(graph.adjacent(a, b) for a, b in zip(idx, idx[1:]))
+    # consecutive intervals intersect: each starts before the other ends
+    lefts = list(map(graph.left.__getitem__, idx))
+    rights = list(map(graph.right.__getitem__, idx))
+    return all(map(lt, lefts[1:], rights)) and all(map(lt, lefts, rights[1:]))
 
 
 def is_normal_path(graph: IntervalGraph, names) -> bool:

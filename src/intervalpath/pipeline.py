@@ -40,8 +40,9 @@ class PathResult:
 @dataclass(frozen=True)
 class Stages:
     """What the stages before the DP build, with their timings. ``deletion``
-    is the pruned set plus the sentinels; ``d_size`` counts it without them,
-    and ``d_approx`` counts the greedy set before pruning."""
+    is the pruned set plus the sentinels, as vertex indices of ``widened``;
+    ``d_size`` counts it without them, and ``d_approx`` counts the greedy
+    set before pruning."""
 
     normal: IntervalGraph
     widened: IntervalGraph
@@ -115,11 +116,12 @@ def lift_stage2(path: list, special: SpecialWeightedIntervalGraph) -> list:
 
 
 def lift_stage1(path: list, stage1: Stage1Result) -> list:
-    """Reinflate every collapsed cluster in place."""
+    """Reinflate every collapsed cluster in place, naming its vertices."""
+    names = stage1.graph.names
     out = []
     for nm in path:
         if nm in stage1.back_map:
-            out.extend(stage1.back_map[nm])
+            out.extend(map(names.__getitem__, stage1.back_map[nm]))
         else:
             out.append(nm)
     return out
@@ -127,7 +129,7 @@ def lift_stage1(path: list, stage1: Stage1Result) -> list:
 
 def longest_path(graph: IntervalGraph) -> PathResult:
     """Longest path of an unweighted interval graph, with stage timings."""
-    if any(w != 1 for w in graph.weight):
+    if graph.weight.count(1) != graph.n:
         raise InvalidSpec("longest_path expects unit weights")
 
     stages = run_stages(graph)
@@ -148,7 +150,7 @@ def longest_path(graph: IntervalGraph) -> PathResult:
 
     stats = {
         "n": graph.n,
-        "m": graph.edge_count(),
+        "m": stages.normal.edge_count(),
         "d_size": stages.d_size,
         "d_approx": stages.d_approx,
         "kappa": stages.special.kappa,

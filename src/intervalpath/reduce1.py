@@ -4,21 +4,23 @@ weighted interval.
 With the deletion set (sentinels included) ordered by right endpoint, the
 line splits into rows between consecutive deletion rights and each row into
 cells between consecutive deletion lefts falling inside it. One pass over
-the free vertices in right-endpoint order puts each one whose interval
-crosses no deletion right into the cell holding its right endpoint. One pass
-over the cells in order then drops the vertices reaching back over earlier
-cells of the same row, with a running rightmost-endpoint waterline, and
-splits what remains into runs of consecutively overlapping intervals. Each
+the free vertices in right-endpoint order, cell by cell, keeps in each cell
+those whose interval crosses no deletion right and ends there, drops the
+ones reaching back over earlier cells of the same row, with a running
+rightmost-endpoint waterline, and splits what remains into runs of
+consecutively overlapping intervals. Each
 run is replaced by its span carrying the run's total weight; the replacement
 intervals form an independent set containing no other interval.
 
 The families hand on only what later stages read: the free vertices, the
-grid, and the runs per cell (rule 2 takes its grid points from them).
+grid, and the runs per cell (rule 2 takes its grid points from them). They
+hold vertex indices; names are looked up only for what survives the rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress, filterfalse
 from dataclasses import dataclass, field
 
 from .errors import EmptySet, MissingDummies
@@ -29,15 +31,18 @@ from .intervals import IntervalGraph, fresh_name, from_endpoint_order, token_ord
 class Stage1Families:
     """Row/cell grid of the free vertices and the clusters rule 1 collapses.
 
-    ``U`` names the free vertices in right-endpoint order. ``Li[i]`` holds
+    Vertices are indices of the graph the families were computed on.
+    ``U`` lists the free vertices in right-endpoint order and ``D`` is the
+    deletion set. ``Li[i]`` holds
     the sorted split points of row i: the two bordering deletion rights plus
     every deletion left between them, so row i has ``len(Li[i]) - 1`` cells.
     ``components`` maps each cell key (row, cell), cells 1-based, to its
-    clusters, tuples of names in right-endpoint order. ``S1`` lists the
+    clusters, tuples of vertices in right-endpoint order. ``S1`` lists the
     clusters left to right, which is also their order by right endpoint.
     """
 
     U: tuple
+    D: frozenset
     Li: dict
     components: dict
     S1: tuple
@@ -48,11 +53,17 @@ class Stage1Families:
 
 @dataclass(frozen=True)
 class Stage1Result:
+    """G# and its partition by name: the replacement intervals ``A``, the
+    free survivors ``U_sharp`` and the deletion set. ``back_map`` maps each
+    name in ``A`` to its cluster, as vertices of ``graph``, the graph the
+    rule was applied to."""
+
     g_sharp: IntervalGraph
     A: frozenset
     U_sharp: frozenset
     back_map: dict
     families: Stage1Families = field(repr=False, default=None)
+    graph: IntervalGraph = field(repr=False, default=None)
 
 
 def _proper_run(graph: IntervalGraph, vertices, empty: str) -> list | None:
@@ -88,10 +99,10 @@ def is_reducible(graph: IntervalGraph, vertices) -> bool:
 
 def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
     """Rows and cells, then one pass per cell: waterline filter and runs."""
-    if deletion.dummies is None or not set(deletion.dummies) <= set(graph.names):
+    if deletion.dummies is None:
         raise MissingDummies("run add_dummies first")
     left, right = graph.left, graph.right
-    d_set = {graph.by_name(nm) for nm in deletion.marked}
+    d_set = deletion.marked
     r_list = sorted(right[d] for d in d_set)
     l_list = sorted(left[d] for d in d_set)
 
@@ -107,38 +118,42 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
             floors.append(lo)
 
     # A free vertex goes to the cell holding its right end when its left end
-    # lies in the same row, i.e. when it crosses no deletion right.
-    u_idx = [v for v in graph.sigma if v not in d_set]
-    cells = [[] for _ in keys]
-    for v in u_idx:
-        c = bisect_left(tops, right[v])
-        if floors[c] < left[v]:
-            cells[c].append(v)
+    # lies in the same row, i.e. when it crosses no deletion right. The free
+    # vertices come by right end, so each cell's candidates are one slice.
+    u_idx = list(filterfalse(d_set.__contains__, graph.sigma))
+    u_rights = list(map(right.__getitem__, u_idx))
 
     # The waterline starts at the row's lower deletion right and rises, after
     # each cell, to the right end of that cell's last vertex; vertices at or
     # below it reach back over an earlier cell and are dropped.
-    name_of = graph.names.__getitem__
     components, s1 = {}, []
-    for (i, x), floor, cell in zip(keys, floors, cells):
+    start = 0
+    for (i, x), floor, top in zip(keys, floors, tops):
+        end = bisect_left(u_rights, top, start)
         if x == 1:
             waterline = floor
-        runs = []
-        for v in cell:
-            if left[v] <= waterline:
+        runs, last, reach = [], -1, None
+        for v in u_idx[start:end]:
+            lv = left[v]
+            if lv <= floor:
                 continue
-            if runs and left[v] < right[runs[-1][-1]]:
+            last = v
+            if lv <= waterline:
+                continue
+            if runs and lv < reach:
                 runs[-1].append(v)
             else:
                 runs.append([v])
-        if cell:
-            waterline = max(waterline, right[cell[-1]])
-        named = tuple(tuple(map(name_of, run)) for run in runs)
-        components[(i, x)] = named
-        s1.extend(named)
+            reach = right[v]
+        if last >= 0:
+            waterline = max(waterline, right[last])
+        start = end
+        runs = tuple(map(tuple, runs))
+        components[(i, x)] = runs
+        s1.extend(runs)
 
     return Stage1Families(
-        U=tuple(map(name_of, u_idx)), Li=li, components=components, S1=tuple(s1)
+        U=tuple(u_idx), D=d_set, Li=li, components=components, S1=tuple(s1)
     )
 
 
@@ -148,30 +163,32 @@ def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
     Survivors keep their input order and the spans follow in S1 order, as
     one graph on 1..2n built straight from the endpoint order.
     """
-    names, index = graph.names, graph.index
-    clusters = [[index[nm] for nm in comp] for comp in families.S1]
-    absorbed = {v for idx in clusters for v in idx}
-    keep = [v for v in range(graph.n) if v not in absorbed]
+    names, left, right, weight = graph.names, graph.left, graph.right, graph.weight
+    alive = [True] * graph.n
+    for comp in families.S1:
+        for v in comp:
+            alive[v] = False
+    keep = list(compress(range(graph.n), alive))
     kept = [names[v] for v in keep]
-    lefts = [graph.left[v] for v in keep]
-    rights = [graph.right[v] for v in keep]
-    weights = [graph.weight[v] for v in keep]
-    taken = set(names)
+    lefts = [left[v] for v in keep]
+    rights = [right[v] for v in keep]
+    weights = [weight[v] for v in keep]
     back_map = {}
-    for t, (comp, idx) in enumerate(zip(families.S1, clusters), 1):
-        name = fresh_name(f"a{t}", taken)
-        taken.add(name)
-        lefts.append(min(map(graph.left.__getitem__, idx)))
-        rights.append(max(map(graph.right.__getitem__, idx)))
-        weights.append(sum(map(graph.weight.__getitem__, idx)))
-        back_map[name] = comp
+    for t, comp in enumerate(families.S1, 1):
+        # the bases differ in their digits, so only the graph's names can clash
+        back_map[fresh_name(f"a{t}", graph.index)] = comp
+        lefts.append(min(map(left.__getitem__, comp)))
+        rights.append(max(map(right.__getitem__, comp)))
+        weights.append(sum(map(weight.__getitem__, comp)))
     g_sharp = from_endpoint_order(
         [*kept, *back_map], token_order(lefts, rights), weights
     )
+    d_set = families.D
     return Stage1Result(
         g_sharp=g_sharp,
         A=frozenset(back_map),
-        U_sharp=frozenset(families.U).intersection(kept),
+        U_sharp=frozenset(nm for v, nm in zip(keep, kept) if v not in d_set),
         back_map=back_map,
         families=families,
+        graph=graph,
     )

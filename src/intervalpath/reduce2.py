@@ -99,9 +99,10 @@ def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
 def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
     """Assemble the grid T and bin the surviving free vertices by gap pair."""
     g = stage1.g_sharp
+    names = stage1.graph.names
     points = set()
-    for nm in deletion.marked:
-        v = g.by_name(nm)
+    for d in deletion.marked:
+        v = g.by_name(names[d])
         points.add(g.left[v])
         points.add(g.right[v])
     a_of = {comp: name for name, comp in stage1.back_map.items()}
@@ -188,7 +189,7 @@ def apply_rule2(
         kappa=kappa,
         groups=tuple(groups),
         g_sharp=g,
-        v0=deletion.dummies[0],
+        v0=stage1.graph.names[deletion.dummies[0]],
     )
 
 

@@ -27,12 +27,14 @@ linear in n + m, so the stage costs O(n log n + m):
   moved right ends go just after r_u in left order, moved left ends just
   before l_u in right order, and nothing outside the span moves.
 
-The output places the token at position p on coordinate p + 1.
+The output places the token at position p on coordinate p + 1; it keeps
+the input's names, weights and name index, and the positions kept up to
+date during the sweep.
 """
 
 from __future__ import annotations
 
-from .intervals import IntervalGraph, from_endpoint_order, nesting
+from .intervals import IntervalGraph, nesting, renumbered
 
 
 def _latest_opened(tokens, opening: int, n: int) -> list:
@@ -116,7 +118,7 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         for v in out_right + out_left:
             nests[v] = True
 
-    return from_endpoint_order(graph.names, order, graph.weight)
+    return renumbered(graph, order, pos)
 
 
 def is_semi_proper(graph: IntervalGraph) -> bool:

@@ -45,6 +45,11 @@ def split3_special():
     )
 
 
+def named(graph, vertices) -> frozenset:
+    """The names of a set of ``graph``'s vertex indices, such as a deletion set."""
+    return frozenset(graph.names[v] for v in vertices)
+
+
 def assert_valid_representation(g):
     """What ``build`` would check, plus the orders a graph carries: unique
     names, l < r, 2n pairwise distinct endpoints, ``sigma``/``rank`` by right
@@ -143,7 +148,7 @@ def reference_approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
         quad = (u,) + leaves
         for w in quad:
             alive[w] = False
-            deleted.append(graph.names[w])
+            deleted.append(w)
         names = tuple(graph.names[w] for w in sorted(leaves, key=rk.__getitem__))
         certs.append(ClawWitness(graph.names[u], names))
     return DeletionSet(frozenset(deleted), tuple(certs))
@@ -165,8 +170,8 @@ def reference_prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) ->
     """
     left, right, adjacent = graph.left, graph.right, graph.adjacent
     alive = [True] * graph.n
-    for nm in deletion.marked:
-        alive[graph.by_name(nm)] = False
+    for v in deletion.marked:
+        alive[v] = False
     ext = {}
 
     def creates_claw(v: int, moved: list) -> bool:
@@ -193,14 +198,14 @@ def reference_prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) ->
         return False
 
     kept = []
-    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    order = sorted(deletion.marked, key=graph.rank.__getitem__)
     for v in reversed(order):
         alive[v] = True
         z = reference_extremes(graph, v, alive)
         moved = []
         if reference_middle_leaf(graph, v, *z, alive) is not None or creates_claw(v, moved):
             alive[v] = False
-            kept.append(graph.names[v])
+            kept.append(v)
         else:
             ext[v] = z
             ext.update(moved)
@@ -391,15 +396,15 @@ def naive_prune(graph, deletion):
     """Reference put-back for ``claws.prune_deletion_set``: in decreasing rank
     order, return each marked vertex unless the leaf scan finds a claw at it or
     at any live neighbor. O(deg v * deg w) per candidate, no cached extremes."""
-    alive = [nm not in deletion.marked for nm in graph.names]
+    alive = [v not in deletion.marked for v in range(graph.n)]
     kept = set()
-    order = sorted(map(graph.by_name, deletion.marked), key=graph.rank.__getitem__)
+    order = sorted(deletion.marked, key=graph.rank.__getitem__)
     for v in reversed(order):
         alive[v] = True
         centers = [v] + [w for w in graph.neighbors(v) if alive[w]]
         if any(reference_claw_leaves(graph, c, alive) is not None for c in centers):
             alive[v] = False
-            kept.add(graph.names[v])
+            kept.add(v)
     return frozenset(kept)
 
 
@@ -497,9 +502,9 @@ def crafted_special():
     records += [("va", 140, 160, 1), ("vb", 141, 161, 1)]
     g = build(records)
     deletion = DeletionSet(
-        marked=frozenset({"d0", "dm1", "dm2", "d1"}),
+        marked=frozenset(map(g.by_name, ["d0", "dm1", "dm2", "d1"])),
         certificates=(),
-        dummies=("d0", "d1"),
+        dummies=(g.by_name("d0"), g.by_name("d1")),
     )
     stage1 = apply_rule1(g, compute_stage1_families(g, deletion))
     fam2 = compute_stage2_families(stage1, deletion)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 from statistics import median
 
-from helpers import mm_brute, rand_simple
+from helpers import mm_brute, named, rand_simple
 from test_claws import induces_claw, residual
 from test_paths import lemma_violations, normal_paths_of
 
@@ -121,7 +121,7 @@ def test_criterion_3_deletion_set_within_four_times_optimum(capsys):
             break
         k_opt = len(exact.marked)
         got = approx_deletion_set(semi)
-        d = got.marked
+        d = named(semi, got.marked)
         if k_opt:
             worst = max(worst, len(d) / k_opt)
         covered = set()

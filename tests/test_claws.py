@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     heavy_tailed,
     naive_prune,
+    named,
     reference_claw_leaves,
     reference_prune_deletion_set,
     two_claws,
@@ -38,7 +39,8 @@ def induces_claw(g, witness):
 
 
 def residual(g, marked):
-    recs = [r for r in g.records() if r[0] not in marked]
+    """``g`` without the vertices (indices) in ``marked``."""
+    recs = [r for v, r in enumerate(g.records()) if v not in marked]
     return build(recs)
 
 
@@ -58,7 +60,7 @@ def test_find_claw_scans_all_centers(path3, claw4):
 
 def test_approx_claw4(claw4):
     d = approx_deletion_set(claw4)
-    assert d.marked == {"u", "v1", "v2", "v3"}
+    assert named(claw4, d.marked) == {"u", "v1", "v2", "v3"}
     assert len(d.certificates) == 1
     assert induces_claw(claw4, d.certificates[0])
 
@@ -78,7 +80,7 @@ def test_approx_two_disjoint_claws():
         assert induces_claw(g, w)
         assert not (vs & seen)
         seen |= vs
-    assert seen == d.marked
+    assert seen == named(g, d.marked)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -94,13 +96,13 @@ def test_approx_invariants_on_random_instances(seed):
         assert induces_claw(g, w)
         assert not (vs & union)
         union |= vs
-    assert union == d.marked
+    assert union == named(g, d.marked)
 
 
 def test_prune_claw4(claw4):
     greedy = approx_deletion_set(claw4)
     d = prune_deletion_set(claw4, greedy)
-    assert d.marked == {"v1"}
+    assert named(claw4, d.marked) == {"v1"}
     assert d.certificates == greedy.certificates
     assert d.dummies is None
 
@@ -109,7 +111,7 @@ def test_prune_two_disjoint_claws():
     g = two_claws()
     greedy = approx_deletion_set(g)
     d = prune_deletion_set(g, greedy)
-    assert d.marked == {"v1", "w1"}
+    assert named(g, d.marked) == {"v1", "w1"}
     assert d.certificates == greedy.certificates
 
 
@@ -156,7 +158,7 @@ def test_prune_matches_the_reference_on_larger_deletion_sets(family):
     other cache states than the greedy set does."""
     rng = random.Random(9)
     for i, g in enumerate(_prune_instances(family)):
-        extra = {nm for nm in g.names if rng.random() < 0.3}
+        extra = {v for v in range(g.n) if rng.random() < 0.3}
         d = DeletionSet(approx_deletion_set(g).marked | extra, ())
         assert prune_deletion_set(g, d) == reference_prune_deletion_set(g, d), i
 
@@ -208,10 +210,11 @@ def test_add_dummies_path3(path3):
     lo, hi = d.dummies
     assert d.marked == {lo, hi}
     assert g.n == 5
-    li, hi_i = g.by_name(lo), g.by_name(hi)
-    assert g.weight[li] == 0 and g.weight[hi_i] == 0
-    assert not g.neighbors(li) and not g.neighbors(hi_i)
-    assert g.sigma[0] == li and g.sigma[-1] == hi_i
+    assert (lo, hi) == (0, 4)
+    assert g.by_name(g.names[lo]) == lo and g.by_name(g.names[hi]) == hi
+    assert g.weight[lo] == 0 and g.weight[hi] == 0
+    assert not g.neighbors(lo) and not g.neighbors(hi)
+    assert g.sigma[0] == lo and g.sigma[-1] == hi
 
 
 def test_add_dummies_claw4(claw4):

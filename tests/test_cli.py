@@ -71,6 +71,27 @@ def test_solve_rejects_weights(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("2\na 1 4\na 5 8\n", "DuplicateVertexId"),
+        ("2\na 1 4\nb 4 8\n", "DuplicateEndpoint"),
+        ("1\na 4 4\n", "DegenerateInterval"),
+        ("1\na 1 4 -3 2\n", "negative weight"),
+    ],
+    ids=["duplicate-name", "duplicate-endpoint", "degenerate", "negative-weight"],
+)
+@pytest.mark.parametrize("command", [["solve"], ["reduce", "--stage", "1"]])
+def test_invalid_file_is_a_usage_error(runner, tmp_path, text, fault, command):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    res = runner.invoke(main, [*command, str(f)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert f"cannot parse {f}" in res.output and fault in res.output
+
+
 def test_solve_garbage_input(runner, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("not intervals\n")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,16 @@ def test_parse_skips_comments_and_blank_lines():
     assert [nm for nm, *_ in g.records()] == ["a", "b"]
 
 
+# Texts that parse but fail a check of every input, with the error raised;
+# every other text of test_parse_errors is malformed (ParseError).
+INVALID_TEXTS = {
+    "2\na 1 4\na 5 8\n": DuplicateVertexId,
+    "2\na 1 4\nb 4 8\n": DuplicateEndpoint,
+    "2\na 1 4\nb 6 6\n": DegenerateInterval,
+    "1\na 5 2\n": DegenerateInterval,
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -215,11 +226,50 @@ def test_parse_skips_comments_and_blank_lines():
         "1\na 1 4 3\n",
         "1\na 1 4 3 0\n",
         "x\na 1 4\n",
+        "1\na 1 4 -3 2\n",
+        "2\na 1 4\nb 2 5 1 -1\n",
+        *INVALID_TEXTS,
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(INVALID_TEXTS.get(text, ParseError)):
         parse_intervals(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 4\n", "bad vertex count line: '3 4'"),
+        ("2\na 1 4\n", "expected 2 interval lines, found 1"),
+        ("2\na  1 4 # c\nb 2\n", "bad interval line: 'b 2'"),
+        ("2\nb 2 x\na 1\n", "bad interval line: 'b 2 x'"),
+        ("1\na 1 4 -3 2\n", "negative weight for 'a'"),
+    ],
+)
+def test_parse_error_names_the_first_bad_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_intervals(text)
+    assert str(err.value) == message
+
+
+def _weighted(g, seed):
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(g.n)]
+    return build([(nm, l, r, w) for (nm, l, r, _), w in zip(g.records(), weights)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 40), weighted=st.booleans())
+def test_parse_matches_build_on_generated_graphs(seed, n, weighted):
+    """The parser builds the graph ``build`` builds from the same records."""
+    g = generate(GeneratorSpec(kind="random", n=n, seed=seed))
+    if weighted:
+        g = _weighted(g, seed)
+    got, want = parse_intervals(format_intervals(g)), build(g.records())
+    assert got.records() == want.records()
+    assert got.endpoint_order() == want.endpoint_order()
+    assert got.sigma == want.sigma
+    assert dict(got.index) == dict(want.index) == {nm: v for v, nm in enumerate(g.names)}
 
 
 def test_fresh_name_avoids_taken():

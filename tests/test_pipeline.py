@@ -73,8 +73,8 @@ def test_dp_starts_from_the_low_sentinel(fixture, request):
     table = max_weight_path(st.special).table
     g = st.special.graph
     assert table.graph is g
-    assert st.special.v0 == st.deletion.dummies[0]
-    assert table.xi.Xi[0] == g.left[g.by_name(st.deletion.dummies[0])]
+    assert st.special.v0 == st.widened.names[st.deletion.dummies[0]]
+    assert table.xi.Xi[0] == g.left[g.by_name(st.special.v0)]
 
 
 def test_rejects_weighted_input():
@@ -190,7 +190,11 @@ def test_lift_stage1_without_clusters():
 def test_lift_stage1_reinflates_a_pruned_claw(claw4):
     """With only v1 deleted, claw4's other leaves become one-vertex clusters."""
     stage1 = run_stages(claw4).stage1
-    assert stage1.back_map == {"a1": ("v2",), "a2": ("v3",)}
+    names = stage1.graph.names
+    assert {a: [names[v] for v in c] for a, c in stage1.back_map.items()} == {
+        "a1": ["v2"],
+        "a2": ["v3"],
+    }
     assert lift_stage1(["v1", "u", "a1"], stage1) == ["v1", "u", "v2"]
 
 
@@ -279,6 +283,28 @@ def test_each_input_is_sorted_once(monkeypatch):
     st = run_stages(g)
     semi = make_semi_proper(st.normal)
     assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in semi.endpoint_order()]
+
+
+def test_only_small_graphs_build_a_name_index(monkeypatch):
+    """The input's name index comes from its duplicate-name check; the
+    normalized and semi-proper graphs share it and the widened graph looks
+    names up through it, so inside a solve only graphs no larger than G# or
+    the special graph build one."""
+    g = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4))
+    st = run_stages(g)
+    limit = max(st.stage1.g_sharp.n, st.special.graph.n)
+    assert limit < g.n // 10
+    sizes = []
+    real = intervals.name_index
+
+    def counting(names):
+        sizes.append(len(names))
+        return real(names)
+
+    monkeypatch.setattr(intervals, "name_index", counting)
+    res = longest_path(g)
+    assert is_path(g, res.path)
+    assert sizes and max(sizes) <= limit, sizes
 
 
 def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import heavy_tailed, total_weight
+from helpers import heavy_tailed, named, total_weight
 from intervalpath.claws import add_dummies, approx_deletion_set
 from intervalpath.errors import MissingDummies
 from intervalpath.generators import GeneratorSpec, generate
@@ -18,10 +18,10 @@ def star_cells(graph, fam, marked):
     in the cell holding its right end. U** keeps the vertices of a cell whose
     left end lies above the running waterline: the row's lower deletion
     right, raised to the largest right end of U* in the row's earlier cells.
-    Both map cell keys to names in right-endpoint order.
+    Both map cell keys to vertices in right-endpoint order.
     """
-    d_rights = [graph.right[graph.by_name(nm)] for nm in marked]
-    free = [v for v in graph.sigma if graph.names[v] not in marked]
+    d_rights = [graph.right[d] for d in marked]
+    free = [v for v in graph.sigma if v not in marked]
     u_star, u_2star = {}, {}
     for i, pts in fam.Li.items():
         waterline = pts[0]
@@ -32,24 +32,25 @@ def star_cells(graph, fam, marked):
                 if pts[x - 1] < graph.right[v] < pts[x]
                 and not any(graph.left[v] < d < graph.right[v] for d in d_rights)
             ]
-            u_star[(i, x)] = tuple(graph.names[v] for v in cell)
-            u_2star[(i, x)] = tuple(
-                graph.names[v] for v in cell if graph.left[v] > waterline
-            )
+            u_star[(i, x)] = tuple(cell)
+            u_2star[(i, x)] = tuple(v for v in cell if graph.left[v] > waterline)
             waterline = max([waterline] + [graph.right[v] for v in cell])
     return u_star, u_2star
 
 
-def overlapping_runs(graph, names):
-    """Split names (in right-endpoint order) where an interval misses the previous."""
+def overlapping_runs(graph, vertices):
+    """Split vertices (in right-endpoint order) where an interval misses the previous."""
     runs = []
-    for nm in names:
-        v = graph.by_name(nm)
-        if runs and graph.left[v] < graph.right[graph.by_name(runs[-1][-1])]:
-            runs[-1].append(nm)
+    for v in vertices:
+        if runs and graph.left[v] < graph.right[runs[-1][-1]]:
+            runs[-1].append(v)
         else:
-            runs.append([nm])
+            runs.append([v])
     return tuple(map(tuple, runs))
+
+
+def names_of_runs(graph, runs):
+    return tuple(tuple(graph.names[v] for v in run) for run in runs)
 
 
 def front(graph):
@@ -83,27 +84,26 @@ def test_families_require_dummies(path3):
 def test_families_path3_hand_trace(path3):
     g, d = front(path3)
     fam = compute_stage1_families(g, d)
-    lo, hi = d.dummies
-    li, hi_i = g.by_name(lo), g.by_name(hi)
+    li, hi_i = d.dummies
     # the deletion lefts: d0's lies before row 1, d1's splits it
     assert g.left[li] < fam.Li[1][0] < g.left[hi_i] < fam.Li[1][-1]
     assert {pts[0] for pts in fam.Li.values()} | {
         pts[-1] for pts in fam.Li.values()
     } == {g.right[li], g.right[hi_i]}
-    assert set(fam.U) == {"a", "b", "c"}
+    assert named(g, fam.U) == {"a", "b", "c"}
     assert list(fam.Li) == [1]
     assert fam.Li[1] == (g.right[li], g.left[hi_i], g.right[hi_i])
     assert len(fam.Li[1]) - 1 == 2
     assert fam.p_total() == 2
     u_star, u_2star = star_cells(g, fam, d.marked)
     assert set(u_star) == {(1, 1), (1, 2)}
-    assert u_star[(1, 1)] == ("a", "b", "c")
+    assert names_of_runs(g, [u_star[(1, 1)]]) == (("a", "b", "c"),)
     assert u_star[(1, 2)] == ()
-    assert u_2star[(1, 1)] == ("a", "b", "c")
+    assert u_2star[(1, 1)] == u_star[(1, 1)]
     assert set(fam.components) == {(1, 1), (1, 2)}
-    assert fam.components[(1, 1)] == (("a", "b", "c"),)
+    assert names_of_runs(g, fam.components[(1, 1)]) == (("a", "b", "c"),)
     assert fam.components[(1, 2)] == ()
-    assert fam.S1 == (("a", "b", "c"),)
+    assert names_of_runs(g, fam.S1) == (("a", "b", "c"),)
 
 
 def test_families_claw4_all_marked(claw4):
@@ -120,11 +120,13 @@ def test_apply_rule1_path3(path3):
     out = apply_rule1(g, fam)
     assert out.A == {"a1"}
     assert out.U_sharp == set()
-    assert out.back_map == {"a1": ("a", "b", "c")}
+    assert list(out.back_map) == ["a1"]
+    assert names_of_runs(g, out.back_map.values()) == (("a", "b", "c"),)
+    assert out.graph is g
     got = {nm: (l, r, w) for nm, l, r, w in out.g_sharp.records()}
     lo, hi = d.dummies
-    assert got[lo] == (1, 2, 0)
-    assert got[hi] == (5, 6, 0)
+    assert got[g.names[lo]] == (1, 2, 0)
+    assert got[g.names[hi]] == (5, 6, 0)
     assert got["a1"] == (3, 4, 3)
 
 
@@ -164,14 +166,13 @@ def assert_families_match_definitions(st):
     fam = st.stage1.families
     k = len(marked) - 2
     assert fam.p_total() == 2 * (k + 1)
-    d_rights = {widened.right[widened.by_name(nm)] for nm in marked}
+    d_rights = {widened.right[d] for d in marked}
     for i in fam.Li:
         pts = fam.Li[i]
         assert pts[0] in d_rights and pts[-1] in d_rights
         assert list(pts) == sorted(pts)
-    assert fam.U == tuple(
-        widened.names[v] for v in widened.sigma if widened.names[v] not in marked
-    )
+    assert fam.D == marked
+    assert fam.U == tuple(v for v in widened.sigma if v not in marked)
     u_star, u_2star = star_cells(widened, fam, marked)
     assert set(fam.components) == set(u_star)
     cells_union = set()
@@ -182,19 +183,19 @@ def assert_families_match_definitions(st):
         assert fam.components[(i, x)] == overlapping_runs(widened, u_2star[(i, x)])
         for comp in fam.components[(i, x)]:
             assert set(comp) <= set(members)
-            for nm in comp:
-                r = widened.right[widened.by_name(nm)]
+            for v in comp:
+                r = widened.right[v]
                 assert fam.Li[i][x - 1] < r < fam.Li[i][x]
     assert cells_union <= set(fam.U)
     assert fam.S1 == tuple(
         comp for key in sorted(fam.components) for comp in fam.components[key]
     )
     for s in fam.S1:
-        assert is_reducible(widened, s)
+        assert is_reducible(widened, [widened.names[v] for v in s])
     spans = []
     for s in fam.S1:
-        lo = min(widened.left[widened.by_name(nm)] for nm in s)
-        hi = max(widened.right[widened.by_name(nm)] for nm in s)
+        lo = min(widened.left[v] for v in s)
+        hi = max(widened.right[v] for v in s)
         for lo2, hi2 in spans:
             assert hi < lo2 or hi2 < lo
         spans.append((lo, hi))
@@ -214,7 +215,9 @@ def test_rule1_invariants_random(seed):
         for v in range(gs.n):
             if v != u:
                 assert not gs.contains_interval(u, v)
-    assert set(gs.names) == st.deletion.marked | stage1.A | stage1.U_sharp
+    marked = named(st.widened, st.deletion.marked)
+    assert set(gs.names) == marked | stage1.A | stage1.U_sharp
+    assert not (marked & stage1.U_sharp)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -232,5 +235,6 @@ def test_all_or_none_on_best_paths(seed):
     _, best = brute_longest_path(st.widened)
     on_path = set(best)
     for s in st.stage1.families.S1:
-        inter = set(s) & on_path
+        s = named(st.widened, s)
+        inter = s & on_path
         assert inter == set(s) or inter == set()

@@ -3,7 +3,13 @@ from math import comb
 
 import pytest
 
-from helpers import assert_valid_representation, crafted_special, small_combs, total_weight
+from helpers import (
+    assert_valid_representation,
+    crafted_special,
+    named,
+    small_combs,
+    total_weight,
+)
 from intervalpath.claws import DeletionSet
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import build
@@ -67,7 +73,7 @@ def test_stage2_path3_is_trivial(path3):
     assert fam.Uji == {}
     assert special.graph.records() == stage1.g_sharp.records()
     assert special.A == {"a1"}
-    assert special.B == set(deletion.marked)
+    assert special.B == named(st.widened, deletion.marked)
     assert special.kappa == 722
 
 
@@ -76,9 +82,7 @@ def test_grid_takes_the_two_outer_clusters_of_each_cell():
     records = [("d0", 0, 1, 0), ("d1", 100, 101, 0)]
     records += [(f"u{j}", 10 * j + 2, 10 * j + 5, 1) for j in range(5)]
     g = build(records)
-    deletion = DeletionSet(
-        marked=frozenset({"d0", "d1"}), certificates=(), dummies=("d0", "d1")
-    )
+    deletion = DeletionSet(marked=frozenset({0, 1}), certificates=(), dummies=(0, 1))
     stage1 = apply_rule1(g, compute_stage1_families(g, deletion))
     fam = compute_stage2_families(stage1, deletion)
     # the middle cluster a3 at (7, 8) is left out
