@@ -61,14 +61,12 @@ def main(argv: list) -> int:
     from intervalpath.intervals import build
     from intervalpath.pipeline import longest_path, run_stages
     from intervalpath.reduce2 import compute_stage2_families
-    from intervalpath.semiproper import make_semi_proper
 
     digest = hashlib.sha256()
     graphs = corpus(generate, GeneratorSpec, build, heavy_tailed, make_comb)
     for g in graphs:
         st = run_stages(g)
-        semi = make_semi_proper(st.normal)
-        greedy = approx_deletion_set(semi)
+        greedy = approx_deletion_set(st.semi)
         fam1 = st.stage1.families
         fam2 = compute_stage2_families(st.stage1, st.deletion)
         table = max_weight_path(st.special).table
@@ -80,9 +78,9 @@ def main(argv: list) -> int:
             return tuple(names[v] for v in vs)
 
         item = (
-            semi.records(),
-            [semi.neighbors(v) for v in range(semi.n)],
-            sorted(named(greedy.marked, semi.names)),
+            st.semi.records(),
+            [st.semi.neighbors(v) for v in range(st.semi.n)],
+            sorted(named(greedy.marked, st.semi.names)),
             greedy.certificates,
             sorted(named(st.deletion.marked)),
             named(st.deletion.dummies),

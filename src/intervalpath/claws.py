@@ -1,7 +1,6 @@
-"""Claw-centered machinery: detection, the linear-time 4-approximate deletion
-set with packing certificates, its pruning to an inclusion-minimal set, an
-exact branching solver, properness tests, and the two sentinel intervals
-later stages rely on.
+"""Claw-centered machinery: the linear-time 4-approximate deletion set with
+packing certificates, its pruning to an inclusion-minimal set, and the two
+sentinel intervals later stages rely on.
 
 The detection trick: among a center's live neighbors, only the one with the
 smallest right endpoint and the one with the largest left endpoint can serve
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DoubleAugment
+from .errors import DoubleAugment
 from .intervals import IntervalGraph, fresh_name, nesting, with_sentinels
 
 
@@ -41,7 +40,8 @@ class DeletionSet:
     ``marked`` holds vertex indices of the graph the set was computed on.
     ``certificates`` holds the vertex-disjoint claws packed during the greedy
     round, by name; the greedy set is their union, and after pruning
-    ``marked`` is a subset of it. Exact solving leaves it empty.
+    ``marked`` is a subset of it. A set built without the greedy round
+    leaves it empty.
     ``dummies`` is None until the two sentinels are appended, then their
     indices in the widened graph, 0 and n + 1.
     """
@@ -93,26 +93,6 @@ def _witness(graph: IntervalGraph, u: int, leaves: tuple) -> ClawWitness:
     pos = graph.endpoint_positions()
     names = tuple(graph.names[w] for w in sorted(leaves, key=lambda w: pos[2 * w + 1]))
     return ClawWitness(graph.names[u], names)
-
-
-def find_claw_at(graph: IntervalGraph, u: str) -> ClawWitness | None:
-    """Some induced claw centered at u, or None if u centers none."""
-    alive = [True] * graph.n
-    c = graph.by_name(u)
-    order, pos = graph.endpoint_order(), graph.endpoint_positions()
-    leaves = _claw_leaves(order, pos, c, alive)
-    return None if leaves is None else _witness(graph, c, leaves)
-
-
-def find_claw(graph: IntervalGraph) -> ClawWitness | None:
-    """First induced claw in right-endpoint order of centers, or None."""
-    alive = [True] * graph.n
-    order, pos = graph.endpoint_order(), graph.endpoint_positions()
-    for u in graph.sigma:
-        leaves = _claw_leaves(order, pos, u, alive)
-        if leaves is not None:
-            return _witness(graph, u, leaves)
-    return None
 
 
 def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
@@ -214,58 +194,6 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
             ext[v] = z
             ext.update(moved)
     return DeletionSet(frozenset(kept), deletion.certificates)
-
-
-def exact_deletion_set(
-    graph: IntervalGraph, k_max: int = 8, node_cap: int = 1_000_000
-) -> DeletionSet | None:
-    """Minimum deletion set by iterative-deepening 4-way branching.
-
-    Returns None if no solution of size <= k_max exists; raises
-    BudgetExceeded once the search tree outgrows node_cap.
-    """
-    alive = [True] * graph.n
-    nodes = 0
-    order, pos = graph.endpoint_order(), graph.endpoint_positions()
-
-    def first_claw():
-        for u in graph.sigma:
-            if alive[u]:
-                leaves = _claw_leaves(order, pos, u, alive)
-                if leaves is not None:
-                    return (u,) + leaves
-        return None
-
-    def search(budget: int, chosen: list) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise BudgetExceeded(f"more than {node_cap} branching nodes")
-        quad = first_claw()
-        if quad is None:
-            return True
-        if budget == 0:
-            return False
-        for w in quad:
-            alive[w] = False
-            chosen.append(w)
-            if search(budget - 1, chosen):
-                return True
-            chosen.pop()
-            alive[w] = True
-        return False
-
-    for k in range(k_max + 1):
-        chosen: list = []
-        if search(k, chosen):
-            return DeletionSet(frozenset(chosen), ())
-    return None
-
-
-def is_proper_representation(graph: IntervalGraph) -> bool:
-    """True iff no interval contains another: the left ends come in the
-    same vertex order as the right ends, sigma."""
-    return [t >> 1 for t in graph.endpoint_order() if not t & 1] == graph.sigma
 
 
 def add_dummies(graph: IntervalGraph, deletion: DeletionSet):

@@ -291,12 +291,9 @@ def renumbered(graph: IntervalGraph, order, pos=None) -> IntervalGraph:
 def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
     """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent).
 
-    Input and output share one endpoint order, the one ``build`` sorted, so
-    they also share sigma, rank and the token positions, as far as the input
-    has them yet."""
-    out = renumbered(graph, graph.endpoint_order(), graph._pos)
-    out._sigma, out._rank = graph._sigma, graph._rank
-    return out
+    Input and output share one endpoint order, the one ``build`` sorted, and
+    the token positions if the input has them yet."""
+    return renumbered(graph, graph.endpoint_order(), graph._pos)
 
 
 class _PaddedIndex(Mapping):

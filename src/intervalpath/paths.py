@@ -1,4 +1,4 @@
-"""Normal paths: validation and greedy normalization.
+"""Paths: the path check and greedy normalization into normal order.
 
 A path is normal when it starts at the vertex with the smallest right
 endpoint of the whole path and each later vertex has the smallest right
@@ -34,31 +34,6 @@ def is_path(graph: IntervalGraph, names) -> bool:
     lefts = list(map(graph.left.__getitem__, idx))
     rights = list(map(graph.right.__getitem__, idx))
     return all(map(lt, lefts[1:], rights)) and all(map(lt, lefts, rights[1:]))
-
-
-def is_normal_path(graph: IntervalGraph, names) -> bool:
-    """Check normality of a path. Raises InvalidPath if it is not a path at all."""
-    idx = _to_indices(graph, names)
-    if not idx:
-        raise InvalidPath("empty sequence")
-    if len(set(idx)) != len(idx):
-        raise InvalidPath("repeated vertex")
-    for a, b in zip(idx, idx[1:]):
-        if not graph.adjacent(a, b):
-            raise InvalidPath(f"{graph.names[a]!r} and {graph.names[b]!r} not adjacent")
-    rank = graph.rank
-    if min(idx, key=rank.__getitem__) != idx[0]:
-        return False
-    remaining = set(idx[1:])
-    for prev, cur in zip(idx, idx[1:]):
-        # neighbors() is rank-sorted, so the first hit is the forced choice
-        for w in graph.neighbors(prev):
-            if w in remaining:
-                if w != cur:
-                    return False
-                break
-        remaining.discard(cur)
-    return True
 
 
 def normalize_path(graph: IntervalGraph, vertices) -> list:

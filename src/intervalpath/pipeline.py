@@ -39,12 +39,13 @@ class PathResult:
 
 @dataclass(frozen=True)
 class Stages:
-    """What the stages before the DP build, with their timings. ``deletion``
-    is the pruned set plus the sentinels, as vertex indices of ``widened``;
+    """What the stages before the DP build, with their timings. ``semi`` is
+    the semi-proper graph the deletion set was found on. ``deletion`` is the
+    pruned set plus the sentinels, as vertex indices of ``widened``;
     ``d_size`` counts it without them, and ``d_approx`` counts the greedy
     set before pruning."""
 
-    normal: IntervalGraph
+    semi: IntervalGraph
     widened: IntervalGraph
     deletion: DeletionSet
     stage1: Stage1Result
@@ -59,8 +60,7 @@ class Stages:
 def run_stages(graph: IntervalGraph) -> Stages:
     """Preprocess, find and prune the deletion set, and apply both reductions."""
     t0 = time.perf_counter_ns()
-    normal = normalize_endpoints(graph)
-    semi = make_semi_proper(normal)
+    semi = make_semi_proper(normalize_endpoints(graph))
     greedy = approx_deletion_set(semi)
     deletion = prune_deletion_set(semi, greedy)
     d_size = len(deletion.marked)
@@ -74,7 +74,7 @@ def run_stages(graph: IntervalGraph) -> Stages:
     t3 = time.perf_counter_ns()
 
     return Stages(
-        normal, widened, deletion, stage1, special,
+        semi, widened, deletion, stage1, special,
         d_size, len(greedy.marked), t1 - t0, t2 - t1, t3 - t2,
     )
 
@@ -150,7 +150,7 @@ def longest_path(graph: IntervalGraph) -> PathResult:
 
     stats = {
         "n": graph.n,
-        "m": stages.normal.edge_count(),
+        "m": stages.semi.edge_count(),
         "d_size": stages.d_size,
         "d_approx": stages.d_approx,
         "kappa": stages.special.kappa,

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, filterfalse
 from dataclasses import dataclass, field
 
-from .errors import EmptySet, MissingDummies
+from .errors import MissingDummies
 from .intervals import IntervalGraph, fresh_name, from_endpoint_order, token_order
 
 
@@ -62,39 +62,8 @@ class Stage1Result:
     A: frozenset
     U_sharp: frozenset
     back_map: dict
-    families: Stage1Families = field(repr=False, default=None)
-    graph: IntervalGraph = field(repr=False, default=None)
-
-
-def _proper_run(graph: IntervalGraph, vertices, empty: str) -> list | None:
-    """Indices by left end if each overlaps the next with a larger right, else None.
-
-    Shared opening of the reducibility tests; raises EmptySet(empty) when
-    there are no vertices.
-    """
-    idx = sorted(
-        {graph.by_name(v) for v in vertices}, key=graph.left.__getitem__
-    )
-    if not idx:
-        raise EmptySet(empty)
-    left, right = graph.left, graph.right
-    for prev, cur in zip(idx, idx[1:]):
-        if right[prev] >= right[cur] or left[cur] > right[prev]:
-            return None
-    return idx
-
-
-def is_reducible(graph: IntervalGraph, vertices) -> bool:
-    """Both collapse conditions: connected proper induced run, span-closed."""
-    idx = _proper_run(graph, vertices, "reducibility of nothing")
-    if idx is None:
-        return False
-    lo, hi = graph.left[idx[0]], graph.right[idx[-1]]
-    members = set(idx)
-    for v in range(graph.n):
-        if v not in members and lo <= graph.left[v] and graph.right[v] <= hi:
-            return False
-    return True
+    families: Stage1Families = field(repr=False)
+    graph: IntervalGraph = field(repr=False)
 
 
 def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:

@@ -32,7 +32,7 @@ from .intervals import (
     from_endpoint_order,
     token_order,
 )
-from .reduce1 import Stage1Result, _proper_run
+from .reduce1 import Stage1Result
 
 
 @dataclass(frozen=True)
@@ -73,27 +73,6 @@ class SpecialWeightedIntervalGraph:
     groups: tuple = ()
     g_sharp: IntervalGraph = field(repr=False, default=None)
     v0: str | None = None
-
-
-def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
-    """Connected proper induced run, and anything nested in a member sees all."""
-    idx = _proper_run(graph, vertices, "weak reducibility of nothing")
-    if idx is None:
-        return False
-    # Containment here is non-strict, so v = u always qualifies and the
-    # whole set must sit in N(u) for every member u: cliqueness is baked
-    # into the condition rather than being a separate requirement.
-    for u in idx:
-        for v in range(graph.n):
-            nested = graph.left[u] <= graph.left[v] and graph.right[v] <= graph.right[u]
-            if not nested:
-                continue
-            if any(w != v and not graph.adjacent(v, w) for w in idx):
-                return False
-    assert all(
-        graph.adjacent(a, b) for a in idx for b in idx if a != b
-    ), "a weakly reducible set must induce a clique"
-    return True
 
 
 def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:

@@ -120,31 +120,3 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
 
     return renumbered(graph, order, pos)
 
-
-def is_semi_proper(graph: IntervalGraph) -> bool:
-    """Check the defining property: every containment pair sits in an induced claw.
-
-    For a containment I_v inside I_u the claw must have center u and leaf v,
-    so it exists iff two neighbors of u disjoint from v are also disjoint
-    from each other, which reduces to the two extremes of that neighbor set.
-    """
-    for u in range(graph.n):
-        inner = [v for v in range(graph.n) if v != u and graph.contains_interval(u, v)]
-        if not inner:
-            continue
-        cand = graph.neighbors(u)
-        for v in inner:
-            best_r = None
-            best_l = None
-            for w in cand:
-                if w == v or graph.adjacent(w, v):
-                    continue
-                if best_r is None or graph.right[w] < graph.right[best_r]:
-                    best_r = w
-                if best_l is None or graph.left[w] > graph.left[best_l]:
-                    best_l = w
-            if best_r is None or best_r == best_l:
-                return False
-            if graph.adjacent(best_r, best_l):
-                return False
-    return True

@@ -5,10 +5,12 @@ import sys
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
-from intervalpath.claws import ClawWitness, DeletionSet
+from intervalpath.claws import ClawWitness, DeletionSet, _claw_leaves
 from intervalpath.dp import DpResult, DpTable, _validate, build_xi, reconstruct
+from intervalpath.errors import BudgetExceeded, EmptySet, InvalidPath
 from intervalpath.intervals import IntervalGraph, build, token_order
 from intervalpath.matching import SimpleGraph, simple_graph
+from intervalpath.paths import _to_indices
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
 from intervalpath.reduce2 import SpecialWeightedIntervalGraph, apply_rule2, compute_stage2_families
 
@@ -127,6 +129,12 @@ def reference_claw_leaves(graph: IntervalGraph, u: int, alive) -> tuple | None:
     return reference_middle_leaf(graph, u, z1, z2, alive)
 
 
+def has_claw(graph: IntervalGraph) -> bool:
+    """Whether ``graph`` has an induced claw, by the neighbor-list reference."""
+    alive = [True] * graph.n
+    return any(reference_claw_leaves(graph, u, alive) is not None for u in range(graph.n))
+
+
 def reference_approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     """Factor-4 deletion set for a semi-proper representation.
 
@@ -210,6 +218,162 @@ def reference_prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) ->
             ext[v] = z
             ext.update(moved)
     return DeletionSet(frozenset(kept), deletion.certificates)
+
+
+# Definition checkers and the exact branching solver, which only tests call,
+# kept verbatim from semiproper, reduce1, reduce2, claws and paths.
+
+
+def is_semi_proper(graph: IntervalGraph) -> bool:
+    """Check the defining property: every containment pair sits in an induced claw.
+
+    For a containment I_v inside I_u the claw must have center u and leaf v,
+    so it exists iff two neighbors of u disjoint from v are also disjoint
+    from each other, which reduces to the two extremes of that neighbor set.
+    """
+    for u in range(graph.n):
+        inner = [v for v in range(graph.n) if v != u and graph.contains_interval(u, v)]
+        if not inner:
+            continue
+        cand = graph.neighbors(u)
+        for v in inner:
+            best_r = None
+            best_l = None
+            for w in cand:
+                if w == v or graph.adjacent(w, v):
+                    continue
+                if best_r is None or graph.right[w] < graph.right[best_r]:
+                    best_r = w
+                if best_l is None or graph.left[w] > graph.left[best_l]:
+                    best_l = w
+            if best_r is None or best_r == best_l:
+                return False
+            if graph.adjacent(best_r, best_l):
+                return False
+    return True
+
+
+def _proper_run(graph: IntervalGraph, vertices, empty: str) -> list | None:
+    """Indices by left end if each overlaps the next with a larger right, else None.
+
+    Shared opening of the reducibility tests; raises EmptySet(empty) when
+    there are no vertices.
+    """
+    idx = sorted(
+        {graph.by_name(v) for v in vertices}, key=graph.left.__getitem__
+    )
+    if not idx:
+        raise EmptySet(empty)
+    left, right = graph.left, graph.right
+    for prev, cur in zip(idx, idx[1:]):
+        if right[prev] >= right[cur] or left[cur] > right[prev]:
+            return None
+    return idx
+
+
+def is_reducible(graph: IntervalGraph, vertices) -> bool:
+    """Both collapse conditions: connected proper induced run, span-closed."""
+    idx = _proper_run(graph, vertices, "reducibility of nothing")
+    if idx is None:
+        return False
+    lo, hi = graph.left[idx[0]], graph.right[idx[-1]]
+    members = set(idx)
+    for v in range(graph.n):
+        if v not in members and lo <= graph.left[v] and graph.right[v] <= hi:
+            return False
+    return True
+
+
+def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
+    """Connected proper induced run, and anything nested in a member sees all."""
+    idx = _proper_run(graph, vertices, "weak reducibility of nothing")
+    if idx is None:
+        return False
+    # Containment here is non-strict, so v = u always qualifies and the
+    # whole set must sit in N(u) for every member u: cliqueness is baked
+    # into the condition rather than being a separate requirement.
+    for u in idx:
+        for v in range(graph.n):
+            nested = graph.left[u] <= graph.left[v] and graph.right[v] <= graph.right[u]
+            if not nested:
+                continue
+            if any(w != v and not graph.adjacent(v, w) for w in idx):
+                return False
+    assert all(
+        graph.adjacent(a, b) for a in idx for b in idx if a != b
+    ), "a weakly reducible set must induce a clique"
+    return True
+
+
+def exact_deletion_set(
+    graph: IntervalGraph, k_max: int = 8, node_cap: int = 1_000_000
+) -> DeletionSet | None:
+    """Minimum deletion set by iterative-deepening 4-way branching.
+
+    Returns None if no solution of size <= k_max exists; raises
+    BudgetExceeded once the search tree outgrows node_cap.
+    """
+    alive = [True] * graph.n
+    nodes = 0
+    order, pos = graph.endpoint_order(), graph.endpoint_positions()
+
+    def first_claw():
+        for u in graph.sigma:
+            if alive[u]:
+                leaves = _claw_leaves(order, pos, u, alive)
+                if leaves is not None:
+                    return (u,) + leaves
+        return None
+
+    def search(budget: int, chosen: list) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise BudgetExceeded(f"more than {node_cap} branching nodes")
+        quad = first_claw()
+        if quad is None:
+            return True
+        if budget == 0:
+            return False
+        for w in quad:
+            alive[w] = False
+            chosen.append(w)
+            if search(budget - 1, chosen):
+                return True
+            chosen.pop()
+            alive[w] = True
+        return False
+
+    for k in range(k_max + 1):
+        chosen: list = []
+        if search(k, chosen):
+            return DeletionSet(frozenset(chosen), ())
+    return None
+
+
+def is_normal_path(graph: IntervalGraph, names) -> bool:
+    """Check normality of a path. Raises InvalidPath if it is not a path at all."""
+    idx = _to_indices(graph, names)
+    if not idx:
+        raise InvalidPath("empty sequence")
+    if len(set(idx)) != len(idx):
+        raise InvalidPath("repeated vertex")
+    for a, b in zip(idx, idx[1:]):
+        if not graph.adjacent(a, b):
+            raise InvalidPath(f"{graph.names[a]!r} and {graph.names[b]!r} not adjacent")
+    rank = graph.rank
+    if min(idx, key=rank.__getitem__) != idx[0]:
+        return False
+    remaining = set(idx[1:])
+    for prev, cur in zip(idx, idx[1:]):
+        # neighbors() is rank-sorted, so the first hit is the forced choice
+        for w in graph.neighbors(prev):
+            if w in remaining:
+                if w != cur:
+                    return False
+                break
+        remaining.discard(cur)
+    return True
 
 
 # The DP's stand-in and leg tables and the DP as it was before its sweep

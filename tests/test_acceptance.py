@@ -9,16 +9,11 @@ from fractions import Fraction
 from math import comb
 from statistics import median
 
-from helpers import mm_brute, named, rand_simple
+from helpers import exact_deletion_set, has_claw, mm_brute, named, rand_simple
 from test_claws import induces_claw, residual
 from test_paths import lemma_violations, normal_paths_of
 
-from intervalpath.claws import (
-    approx_deletion_set,
-    exact_deletion_set,
-    find_claw,
-    prune_deletion_set,
-)
+from intervalpath.claws import approx_deletion_set, prune_deletion_set
 from intervalpath.dp import max_weight_path
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import normalize_endpoints
@@ -152,7 +147,7 @@ def test_criterion_10_pruned_deletion_set(capsys):
         greedy = approx_deletion_set(semi)
         pruned = prune_deletion_set(semi, greedy).marked
         ok = ok and pruned <= greedy.marked
-        ok = ok and find_claw(residual(semi, pruned)) is None
+        ok = ok and not has_claw(residual(semi, pruned))
         ok = ok and len(exact.marked) <= len(pruned) <= len(greedy.marked)
         at_opt += len(pruned) == len(exact.marked)
         if not ok:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from helpers import (
+    exact_deletion_set,
+    has_claw,
     heavy_tailed,
     naive_prune,
     named,
@@ -15,10 +17,6 @@ from intervalpath.claws import (
     _claw_leaves,
     add_dummies,
     approx_deletion_set,
-    exact_deletion_set,
-    find_claw,
-    find_claw_at,
-    is_proper_representation,
     prune_deletion_set,
 )
 from intervalpath.errors import BudgetExceeded, DoubleAugment
@@ -42,20 +40,6 @@ def residual(g, marked):
     """``g`` without the vertices (indices) in ``marked``."""
     recs = [r for v, r in enumerate(g.records()) if v not in marked]
     return build(recs)
-
-
-def test_find_claw_at_frozen(path3, claw4):
-    w = find_claw_at(claw4, "u")
-    assert w is not None and w.center == "u"
-    assert sorted(w.leaves) == ["v1", "v2", "v3"]
-    assert induces_claw(claw4, w)
-    assert find_claw_at(path3, "b") is None
-    assert find_claw_at(claw4, "v2") is None
-
-
-def test_find_claw_scans_all_centers(path3, claw4):
-    assert find_claw(path3) is None
-    assert find_claw(claw4) is not None
 
 
 def test_approx_claw4(claw4):
@@ -89,7 +73,7 @@ def test_approx_invariants_on_random_instances(seed):
     d = approx_deletion_set(g)
     assert len(d.marked) == 4 * len(d.certificates)
     rest = residual(g, d.marked)
-    assert find_claw(rest) is None
+    assert not has_claw(rest)
     union = set()
     for w in d.certificates:
         vs = {w.center, *w.leaves}
@@ -131,9 +115,9 @@ def test_prune_is_an_inclusion_minimal_subset(family):
         greedy = approx_deletion_set(g)
         kept = prune_deletion_set(g, greedy).marked
         assert kept <= greedy.marked, i
-        assert find_claw(residual(g, kept)) is None, i
+        assert not has_claw(residual(g, kept)), i
         for v in kept:
-            assert find_claw(residual(g, kept - {v})) is not None, (i, v)
+            assert has_claw(residual(g, kept - {v})), (i, v)
         assert kept == naive_prune(g, greedy), i
 
 
@@ -166,7 +150,7 @@ def test_prune_matches_the_reference_on_larger_deletion_sets(family):
 def test_exact_claw4(claw4):
     d = exact_deletion_set(claw4, k_max=1)
     assert d is not None and len(d.marked) == 1
-    assert find_claw(residual(claw4, d.marked)) is None
+    assert not has_claw(residual(claw4, d.marked))
 
 
 def test_exact_path3(path3):
@@ -195,12 +179,6 @@ def test_exact_vs_approx_sandwich(seed):
     approx = approx_deletion_set(g)
     assert opt is not None
     assert len(opt.marked) <= len(approx.marked) <= 4 * len(opt.marked)
-
-
-def test_is_proper_representation(path3, claw4):
-    assert is_proper_representation(path3)
-    assert not is_proper_representation(claw4)
-    assert is_proper_representation(build([]))
 
 
 def test_add_dummies_path3(path3):

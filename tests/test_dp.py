@@ -9,6 +9,7 @@ from helpers import (
     PrefixMaxTable,
     all_simple_paths,
     heavy_tailed,
+    is_normal_path,
     reference_max_weight_path,
     small_combs,
     split3_special,
@@ -27,7 +28,6 @@ from intervalpath.errors import InvalidSpecialPartition
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
-from intervalpath.paths import is_normal_path
 from intervalpath.pipeline import run_stages
 from intervalpath.reduce2 import SpecialWeightedIntervalGraph
 

@@ -1,9 +1,10 @@
 import pytest
 
-from intervalpath.claws import approx_deletion_set, exact_deletion_set, is_proper_representation
+from helpers import exact_deletion_set
+from intervalpath.claws import approx_deletion_set
 from intervalpath.errors import InvalidSpec
 from intervalpath.generators import GeneratorSpec, Lcg, generate
-from intervalpath.intervals import normalize_endpoints
+from intervalpath.intervals import nesting, normalize_endpoints
 
 
 def test_lcg_is_deterministic():
@@ -32,14 +33,14 @@ def test_proper_n3_is_the_canonical_path(path3):
 @pytest.mark.parametrize("n", [1, 2, 10, 57])
 def test_proper_is_proper_and_connected(n):
     g = generate(GeneratorSpec(kind="proper", n=n, seed=0))
-    assert is_proper_representation(g)
+    assert not any(nesting(g.endpoint_order(), g.endpoint_positions()))
     order = g.sigma
     assert all(g.adjacent(order[i], order[i + 1]) for i in range(n - 1))
 
 
 def test_planted_k0_is_proper():
     g = generate(GeneratorSpec(kind="planted", n=10, k=0, seed=3))
-    assert is_proper_representation(g)
+    assert not any(nesting(g.endpoint_order(), g.endpoint_positions()))
     assert approx_deletion_set(g).marked == frozenset()
 
 

@@ -12,7 +12,6 @@ from intervalpath.errors import (
     ParseError,
 )
 from helpers import heavy_tailed
-from intervalpath.claws import is_proper_representation
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import (
     build,
@@ -128,7 +127,7 @@ def test_endpoint_order_answers_match_pairwise_checks(seed, n):
     assert nesting(order, pos) == [
         any(g.contains_interval(u, v) for v in range(n)) for u in range(n)
     ]
-    assert is_proper_representation(g) == (
+    assert (not any(nesting(order, pos))) == (
         not any(g.contains_interval(u, v) for u in range(n) for v in range(n))
     )
     for v in range(n):

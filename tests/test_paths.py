@@ -1,9 +1,9 @@
 import pytest
 
-from helpers import path_sets
+from helpers import is_normal_path, path_sets
 from intervalpath.errors import InvalidPath, NormalizationFailed
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.paths import is_normal_path, is_path, normalize_path
+from intervalpath.paths import is_path, normalize_path
 
 
 def test_is_path(path3):

@@ -1,15 +1,18 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from helpers import crafted_special, heavy_tailed, small_combs, total_weight
+import intervalpath
+from helpers import crafted_special, heavy_tailed, is_normal_path, small_combs, total_weight
 from intervalpath import intervals, pipeline
 from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import IntervalGraph, build
 from intervalpath.oracle import brute_longest_path
-from intervalpath.paths import is_normal_path, is_path
+from intervalpath.paths import is_path
 from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path, run_stages
-from intervalpath.semiproper import make_semi_proper
 
 STAT_KEYS = {
     "n",
@@ -281,8 +284,7 @@ def test_each_input_is_sorted_once(monkeypatch):
     assert calls == [len(records)]
     assert is_path(g, res.path)
     st = run_stages(g)
-    semi = make_semi_proper(st.normal)
-    assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in semi.endpoint_order()]
+    assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in st.semi.endpoint_order()]
 
 
 def test_only_small_graphs_build_a_name_index(monkeypatch):
@@ -320,3 +322,32 @@ def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):
     monkeypatch.setattr(pipeline, "lift_stage1", swap_first_and_third)
     with pytest.raises(LiftFailure):
         longest_path(g)
+
+
+SOLVER_MODULES = ("intervals", "semiproper", "claws", "reduce1", "reduce2", "dp", "paths", "pipeline")
+
+
+def test_solver_modules_hold_only_what_runs():
+    """Every top-level function and class of a solver module is used in the
+    package outside its own definition (as a name, an attribute or an
+    imported name) or exported in ``__all__``; checkers only tests call live
+    in ``tests/helpers.py``. An import counts as a use, so this cannot see
+    one kept only for the benchmark: ``pipeline``'s ``intermediate_graphs``."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(intervalpath.__file__).parent.glob("*.py")}
+    used = {}  # name -> the top-level statements, as (module, index), that use it
+    for mod, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                used.setdefault(name, set()).add((mod, i))
+    unused = [
+        f"{mod}.{stmt.name}"
+        for mod in SOLVER_MODULES
+        for i, stmt in enumerate(trees[mod].body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in intervalpath.__all__
+        and not used.get(stmt.name, set()) - {(mod, i)}
+    ]
+    assert not unused, unused

@@ -1,13 +1,13 @@
 import pytest
 
-from helpers import heavy_tailed, named, total_weight
+from helpers import heavy_tailed, is_reducible, named, total_weight
 from intervalpath.claws import add_dummies, approx_deletion_set
 from intervalpath.errors import MissingDummies
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import normalize_endpoints
 from intervalpath.oracle import brute_longest_path, brute_max_weight_path
 from intervalpath.pipeline import run_stages
-from intervalpath.reduce1 import apply_rule1, compute_stage1_families, is_reducible
+from intervalpath.reduce1 import apply_rule1, compute_stage1_families
 from intervalpath.semiproper import make_semi_proper
 
 

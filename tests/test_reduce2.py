@@ -6,22 +6,18 @@ import pytest
 from helpers import (
     assert_valid_representation,
     crafted_special,
+    is_weakly_reducible,
     named,
     small_combs,
     total_weight,
 )
 from intervalpath.claws import DeletionSet
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.intervals import build
+from intervalpath.intervals import build, normalize_endpoints
 from intervalpath.oracle import brute_max_weight_path
 from intervalpath.pipeline import run_stages
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
-from intervalpath.reduce2 import (
-    compute_stage2_families,
-    intermediate_graphs,
-    is_weakly_reducible,
-)
-from intervalpath.semiproper import make_semi_proper
+from intervalpath.reduce2 import compute_stage2_families, intermediate_graphs
 
 
 def kappa_bound(k):
@@ -198,7 +194,7 @@ def test_stage2_invariants_random(seed):
         assert int_coords(grp.records)
         assert exact_weights(grp.records)
     # derived graphs skip build's checks, so their invariants are asserted here
-    for graph in (make_semi_proper(st.normal), st.widened, stage1.g_sharp, special.graph):
+    for graph in (st.semi, st.widened, stage1.g_sharp, special.graph):
         assert_valid_representation(graph)
 
 
@@ -213,8 +209,8 @@ def test_stage2_invariants_random(seed):
 def test_stage_graphs_are_valid_representations(make):
     g = make()
     st = run_stages(g)
-    semi = make_semi_proper(st.normal)
-    for graph in (g, st.normal, semi, st.widened, st.stage1.g_sharp, st.special.graph):
+    normal = normalize_endpoints(g)
+    for graph in (g, normal, st.semi, st.widened, st.stage1.g_sharp, st.special.graph):
         assert_valid_representation(graph)
 
 

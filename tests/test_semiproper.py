@@ -3,15 +3,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     heavy_tailed,
+    is_semi_proper,
     reference_approx_deletion_set,
+    reference_claw_leaves,
     reference_prune_deletion_set,
     reference_semi_proper,
     small_combs,
 )
-from intervalpath.claws import approx_deletion_set, find_claw_at, prune_deletion_set
+from intervalpath.claws import approx_deletion_set, prune_deletion_set
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import normalize_endpoints
-from intervalpath.semiproper import is_semi_proper, make_semi_proper
+from intervalpath.semiproper import make_semi_proper
 
 
 def edge_set(g):
@@ -70,10 +72,9 @@ def test_edge_set_preserved_and_output_semi_proper(seed, n):
 
 def test_every_surviving_containment_has_a_claw(claw4):
     out = make_semi_proper(claw4)
+    alive = [True] * out.n
     for u, v in containments(out):
-        witness = find_claw_at(out, u)
-        assert witness is not None
-        assert witness.center == u
+        assert reference_claw_leaves(out, out.by_name(u), alive) is not None
 
 
 def _reference_cases():
