@@ -36,6 +36,7 @@ CLAWS = "src/intervalpath/claws.py"
 INTERVALS = "src/intervalpath/intervals.py"
 RULE1 = "src/intervalpath/reduce1.py"
 RULE2 = "src/intervalpath/reduce2.py"
+SEMI = "src/intervalpath/semiproper.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
@@ -71,6 +72,18 @@ MUTANTS = [
         DP,
         "(cand == best and run_j[cut] < sj)",
         "(cand == best and run_j[cut] <= sj)",
+    ),
+    (
+        "semi-proper: z2 from the first left token in the span",
+        SEMI,
+        "next(t for t in reversed(inner) if not t & 1)",
+        "next(t for t in inner if not t & 1)",
+    ),
+    (
+        "semi-proper: z1 from the last right token in the span",
+        SEMI,
+        "next(t for t in inner if t & 1)",
+        "next(t for t in reversed(inner) if t & 1)",
     ),
     ("rule 2: clone cap 1", RULE2, "cap = len(deletion.marked) + 4", "cap = 1"),
     ("rule 2: clone cap 2", RULE2, "cap = len(deletion.marked) + 4", "cap = 2"),

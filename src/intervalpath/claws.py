@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DoubleAugment
-from .intervals import IntervalGraph, fresh_name, nesting, with_sentinels
+from .intervals import IntervalGraph, fresh_name, with_sentinels
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,14 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     claw, whose four vertices are deleted together and recorded as a
     certificate. The certificates are vertex-disjoint, so any deletion set
     needs at least a quarter of what this returns.
+    Centers are filtered by ``graph.nest_flags()``: after ``make_semi_proper``
+    these are the flags it handed over, so ``nesting`` does not run again.
     """
     alive = [True] * graph.n
     deleted = []
     certs = []
     order, pos = graph.endpoint_order(), graph.endpoint_positions()
-    nests = nesting(order, pos)
+    nests = graph.nest_flags()
     for u in graph.sigma:
         # the middle leaf of a claw lies inside its center's span
         if not (alive[u] and nests[u]):

@@ -22,7 +22,7 @@ from .errors import (
 from .generators import GeneratorSpec, generate
 from .intervals import format_intervals, parse_intervals
 from .matching import matching, parse_edge_list
-from .oracle import brute_longest_path
+from .oracle import SIZE_GUARD, brute_longest_path
 from .pipeline import longest_path, run_stages
 
 CSV_HEADER = (
@@ -70,7 +70,9 @@ def solve(file: str, verify_oracle: bool, as_json: bool) -> None:
         result = longest_path(graph)
     except InvalidSpec as exc:
         raise click.UsageError(str(exc)) from exc
-    if verify_oracle and graph.n <= 18:
+    if verify_oracle and graph.n > SIZE_GUARD:
+        click.echo(f"not verified: n={graph.n} exceeds the brute-force guard {SIZE_GUARD}", err=True)
+    elif verify_oracle:
         want, _ = brute_longest_path(graph)
         if want != result.length:
             click.echo(
@@ -117,7 +119,7 @@ def _bench_row(instance_id: str, kind: str, n: int, k: int, seed: int) -> str:
     graph = generate(GeneratorSpec(kind=kind, n=n, k=k, seed=seed))
     result = longest_path(graph)
     oracle = ""
-    if graph.n <= 18:
+    if graph.n <= SIZE_GUARD:
         oracle = str(brute_longest_path(graph)[0])
     s = result.stats
     fields = [

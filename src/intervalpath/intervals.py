@@ -65,7 +65,7 @@ class IntervalGraph:
 
     __slots__ = (
         "names", "left", "right", "weight",
-        "_sigma", "_rank", "_index", "_nbrs", "_order", "_pos",
+        "_sigma", "_rank", "_index", "_nbrs", "_order", "_pos", "_nests",
     )
 
     def __init__(self, names, left, right, weight, order):
@@ -74,7 +74,7 @@ class IntervalGraph:
         self.right = right
         self.weight = weight
         self._order = order
-        self._sigma = self._rank = self._index = self._nbrs = self._pos = None
+        self._sigma = self._rank = self._index = self._nbrs = self._pos = self._nests = None
 
     @property
     def n(self) -> int:
@@ -120,6 +120,13 @@ class IntervalGraph:
         if self._pos is None:
             self._pos = token_positions(self._order)
         return self._pos
+
+    def nest_flags(self) -> list:
+        """``nesting``, or a superset of it handed over by the stage that made
+        the graph (``make_semi_proper``). Shared and cached: do not mutate."""
+        if self._nests is None:
+            self._nests = nesting(self._order, self.endpoint_positions())
+        return self._nests
 
     def neighbors(self, v: int) -> list:
         if self._nbrs is None:

@@ -16,11 +16,17 @@ endpoint order (tokens 2v and 2v + 1, see ``intervals``), sorted once and
 kept on the graph, and a position per token. After that sort everything is
 linear in n + m, so the stage costs O(n log n + m):
 
-- z1 and z2 come from two O(n) sweeps over the order with a stack each; no
-  neighbor lists are built.
-- One backward sweep marks the intervals that contain another. Intervals
-  only grow, so a center can contain something only if it did in the input
-  or has moved since; every other center is skipped in O(1).
+- One backward sweep (``nesting``) marks the intervals that contain
+  another, and the loop visits only those centers, in right-end order.
+  Every vertex a center stretches lies inside it, so it ends before that
+  center and its turn has passed (fact 1): no center has moved when its
+  turn comes, its span then holds a subset of its input span's tokens, and
+  the loop never reads the flags it sets.
+- A center that contains something at its turn therefore has a left and a
+  right end inside its input span (fact 2), so z1(u), the owner of the
+  first right end there, and z2(u), the owner of the last left end, always
+  exist. They are read by one scan of that span in the input order, for
+  those centers only: no neighbor lists and no sweep over the whole order.
 - Edges never change, so every token in a center's span belongs to one of
   its neighbors. Reading the contained intervals off the span, and
   rewriting the span in place after a batch, therefore costs O(deg u):
@@ -29,42 +35,26 @@ linear in n + m, so the stage costs O(n log n + m):
 
 The output places the token at position p on coordinate p + 1; it keeps
 the input's names, weights and name index, and the positions kept up to
-date during the sweep.
+date during the sweep. Intervals only grow, so an output interval contains
+another only if it did in the input or was stretched (fact 3). The output
+keeps those flags as its ``nest_flags``, which the greedy deletion set
+reads, so ``nesting`` runs once per solve.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .intervals import IntervalGraph, nesting, renumbered
 
 
-def _latest_opened(tokens, opening: int, n: int) -> list:
-    """Per vertex v, for a sweep over ``tokens`` in which the tokens of
-    parity ``opening`` open intervals: the owner of the last token opened
-    before v closes if that came after v opened, else the interval still
-    open when v opened that opened last; -1 for none.
-
-    Forward with left ends opening this is v's neighbor with the largest
-    left end; backward with right ends opening, the one with the smallest
-    right end. Closed intervals leave the stack lazily, so the sweep is O(n).
-    """
-    out = [-1] * n
-    closed = [False] * n
-    stack = []
-    last = -1
-    for t in tokens:
-        v = t >> 1
-        if t & 1 == opening:
-            while stack and closed[stack[-1]]:
-                stack.pop()
-            if stack:
-                out[v] = stack[-1]
-            stack.append(v)
-            last = v
-        else:
-            closed[v] = True
-            if last != v:
-                out[v] = last
-    return out
+def _extremes(order: list, pos: list, u: int) -> tuple:
+    """(z1, z2): the owners of the first right end and of the last left end
+    inside u's span. Both exist for a center that contains something."""
+    inner = order[pos[2 * u] + 1 : pos[2 * u + 1]]
+    z1 = next(t for t in inner if t & 1)
+    z2 = next(t for t in reversed(inner) if not t & 1)
+    return z1 >> 1, z2 >> 1
 
 
 def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
@@ -72,21 +62,15 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
 
     Same vertices, weights, and edge set; endpoints renumbered onto 1..2n.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return graph
-    order = list(graph.endpoint_order())
-    pos = list(graph.endpoint_positions())
-    z1 = _latest_opened(reversed(order), 1, n)
-    z2 = _latest_opened(order, 0, n)
+    # z1 and z2 are read off the input's order; the stage rewrites a copy.
+    in_order, in_pos = graph.endpoint_order(), graph.endpoint_positions()
+    order, pos = list(in_order), list(in_pos)
     left, right = graph.left, graph.right
 
-    # Intervals only grow, so a center can contain something only if it did
-    # in the input or it has moved since.
-    nests = nesting(order, pos)
-    for u in graph.sigma:
-        if not nests[u]:
-            continue
+    nests = nesting(in_order, in_pos)
+    for u in list(compress(graph.sigma, map(nests.__getitem__, graph.sigma))):
         lo, hi = pos[2 * u], pos[2 * u + 1]
         span = order[lo : hi + 1]
         contained = [t >> 1 for t in span if not t & 1 and pos[t + 1] < hi]
@@ -94,12 +78,12 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
             continue
         # Tied to z2(u), else to z1(u): equal or adjacent in the input, whose
         # edges stretching preserves. ``contained`` is in left order.
-        a, b = z2[u], z1[u]
+        z1, z2 = _extremes(in_order, in_pos, u)
         out_right, out_left = [], []
         for v in contained:
-            if v == a or left[v] < right[a] and left[a] < right[v]:
+            if v == z2 or left[v] < right[z2] and left[z2] < right[v]:
                 out_right.append(v)
-            elif v == b or left[v] < right[b] and left[b] < right[v]:
+            elif v == z1 or left[v] < right[z1] and left[z1] < right[v]:
                 out_left.append(v)
         if not out_right and not out_left:
             continue
@@ -118,5 +102,6 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         for v in out_right + out_left:
             nests[v] = True
 
-    return renumbered(graph, order, pos)
-
+    out = renumbered(graph, order, pos)
+    out._nests = nests
+    return out

@@ -572,6 +572,42 @@ def naive_prune(graph, deletion):
     return frozenset(kept)
 
 
+# ``semiproper``'s earlier z1/z2 source, kept verbatim as a test-only
+# reference: two O(n) sweeps over the whole endpoint order, z1 from
+# ``_latest_opened(reversed(order), 1, n)`` and z2 from
+# ``_latest_opened(order, 0, n)``.
+
+
+def _latest_opened(tokens, opening: int, n: int) -> list:
+    """Per vertex v, for a sweep over ``tokens`` in which the tokens of
+    parity ``opening`` open intervals: the owner of the last token opened
+    before v closes if that came after v opened, else the interval still
+    open when v opened that opened last; -1 for none.
+
+    Forward with left ends opening this is v's neighbor with the largest
+    left end; backward with right ends opening, the one with the smallest
+    right end. Closed intervals leave the stack lazily, so the sweep is O(n).
+    """
+    out = [-1] * n
+    closed = [False] * n
+    stack = []
+    last = -1
+    for t in tokens:
+        v = t >> 1
+        if t & 1 == opening:
+            while stack and closed[stack[-1]]:
+                stack.pop()
+            if stack:
+                out[v] = stack[-1]
+            stack.append(v)
+            last = v
+        else:
+            closed[v] = True
+            if last != v:
+                out[v] = last
+    return out
+
+
 def reference_semi_proper(graph):
     """The earlier ``semiproper.make_semi_proper``, kept verbatim as a
     test-only reference: z1/z2 from neighbor lists, a full re-spacing of

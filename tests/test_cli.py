@@ -112,6 +112,17 @@ def test_solve_verify_oracle_mismatch(runner, path3_file, monkeypatch):
     assert "verification mismatch" in res.output
 
 
+def test_solve_verify_oracle_says_when_it_verified_nothing(runner, tmp_path):
+    """Above the brute-force guard the solve still succeeds, and stderr says
+    that nothing was checked."""
+    f = tmp_path / "path19.txt"
+    f.write_text("19\n" + "".join(f"v{i} {2 * i} {2 * i + 3}\n" for i in range(19)))
+    res = runner.invoke(main, ["solve", str(f), "--verify-oracle"])
+    assert res.exit_code == 0
+    assert res.stdout == " ".join(["19", *(f"v{i}" for i in range(19))]) + "\n"
+    assert res.stderr == "not verified: n=19 exceeds the brute-force guard 18\n"
+
+
 def test_reduce_stage1(runner, path3_file):
     res = runner.invoke(main, ["reduce", path3_file, "--stage", "1"])
     assert res.exit_code == 0

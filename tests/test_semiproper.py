@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    _latest_opened,
     heavy_tailed,
     is_semi_proper,
     reference_approx_deletion_set,
@@ -12,8 +15,9 @@ from helpers import (
 )
 from intervalpath.claws import approx_deletion_set, prune_deletion_set
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.intervals import normalize_endpoints
-from intervalpath.semiproper import make_semi_proper
+from intervalpath.intervals import nesting, normalize_endpoints
+from intervalpath.pipeline import longest_path
+from intervalpath.semiproper import _extremes, make_semi_proper
 
 
 def edge_set(g):
@@ -116,3 +120,64 @@ def test_larger_inputs_keep_edges_and_become_semi_proper(make):
         out = make_semi_proper(g)
         assert edge_set(out) == edge_set(g)
         assert is_semi_proper(out)
+
+
+def _assert_extremes_match_the_sweeps(g):
+    """Per input-nesting center, the span scan gives the (z1, z2) of the two
+    full-order sweeps; with a left and a right end inside the span, it
+    never needs the sweeps' fallback to an interval covering u's end."""
+    order, pos = g.endpoint_order(), g.endpoint_positions()
+    z1 = _latest_opened(reversed(order), 1, g.n)
+    z2 = _latest_opened(order, 0, g.n)
+    for u, nests in enumerate(nesting(order, pos)):
+        if nests:
+            assert _extremes(order, pos, u) == (z1[u], z2[u])
+
+
+def test_center_extremes_match_the_full_order_sweeps():
+    for g in _reference_cases() + [heavy_tailed(n, n) for n in (200, 500, 1000)]:
+        _assert_extremes_match_the_sweeps(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 20))
+def test_center_extremes_match_the_full_order_sweeps_small(seed, n):
+    _assert_extremes_match_the_sweeps(generate(GeneratorSpec(kind="random", n=n, seed=seed)))
+
+
+def test_greedy_flags_cover_the_output_nesting():
+    """The flags the greedy filters its centers by cover the input's nesting
+    and every output interval that contains another (fact 3), so the filter
+    skips no claw center."""
+    for g in _reference_cases():
+        h = normalize_endpoints(g)
+        before = nesting(h.endpoint_order(), h.endpoint_positions())
+        semi = make_semi_proper(h)
+        flags = semi.nest_flags()
+        after = nesting(semi.endpoint_order(), semi.endpoint_positions())
+        assert all(f or not b for f, b in zip(flags, before))
+        assert all(f or not a for f, a in zip(flags, after))
+
+
+def test_nesting_runs_once_per_solve(monkeypatch):
+    calls = []
+
+    def counted(order, pos):
+        calls.append(len(order))
+        return nesting(order, pos)
+
+    patched = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("intervalpath") and getattr(mod, "nesting", None) is nesting:
+            monkeypatch.setattr(mod, "nesting", counted)
+            patched.append(name)
+    assert "intervalpath.intervals" in patched
+    graphs = [
+        generate(GeneratorSpec(kind="planted", n=300, k=3, seed=1)),
+        heavy_tailed(60, 5),
+        *small_combs(2),
+    ]
+    for g in graphs:
+        calls.clear()
+        longest_path(g)
+        assert calls == [2 * g.n]
