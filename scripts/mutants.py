@@ -76,14 +76,20 @@ MUTANTS = [
     (
         "semi-proper: z2 from the first left token in the span",
         SEMI,
-        "next(t for t in reversed(inner) if not t & 1)",
-        "next(t for t in inner if not t & 1)",
+        "    q = pos[2 * u + 1] - 1\n    while order[q] & 1:\n        q -= 1\n",
+        "    q = pos[2 * u] + 1\n    while order[q] & 1:\n        q += 1\n",
     ),
     (
         "semi-proper: z1 from the last right token in the span",
         SEMI,
-        "next(t for t in inner if t & 1)",
-        "next(t for t in reversed(inner) if t & 1)",
+        "    p = pos[2 * u] + 1\n    while not order[p] & 1:\n        p += 1\n",
+        "    p = pos[2 * u + 1] - 1\n    while not order[p] & 1:\n        p -= 1\n",
+    ),
+    (
+        "semi-proper: left-end scan stops before r_z1",
+        SEMI,
+        "in_order[in_pos[2 * u] + 1 : in_pos[2 * z1 + 1]]",
+        "in_order[in_pos[2 * u] + 1 : in_pos[2 * z1 + 1] - 1]",
     ),
     ("rule 2: clone cap 1", RULE2, "cap = len(deletion.marked) + 4", "cap = 1"),
     ("rule 2: clone cap 2", RULE2, "cap = len(deletion.marked) + 4", "cap = 2"),
@@ -104,6 +110,18 @@ MUTANTS = [
         CLAWS,
         " or creates_claw(v, moved):",
         ":",
+    ),
+    (
+        "prune: skip the centers that start inside v",
+        CLAWS,
+        "for w in covering[v] + starts_inside:",
+        "for w in covering[v]:",
+    ),
+    (
+        "greedy: take the centers in left-end order",
+        CLAWS,
+        "sorted(centers, key=lambda u: pos[2 * u + 1])",
+        "sorted(centers, key=lambda u: pos[2 * u])",
     ),
     (
         "sentinels: shift the endpoint order by one token",

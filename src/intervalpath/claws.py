@@ -15,11 +15,19 @@ owns the first live right end inside the span and z2(u) the last live left
 end, and a middle leaf is a live interval strictly inside (r_z1, l_z2): the
 first live right end there whose left end also is. Every token in u's span
 belongs to a neighbor of u, so each scan costs O(deg u).
+
+A claw's center strictly contains its middle leaf, so only an interval that
+contains another can center one. The greedy and the pruning therefore look
+only at the vertices ``nest_flags()`` names and at their spans, never at
+the whole endpoint order; on the semi-proper graph those flags come from
+``make_semi_proper`` and cover every interval that contains another.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DoubleAugment
 from .intervals import IntervalGraph, fresh_name, with_sentinels
@@ -102,17 +110,18 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     claw, whose four vertices are deleted together and recorded as a
     certificate. The certificates are vertex-disjoint, so any deletion set
     needs at least a quarter of what this returns.
-    Centers are filtered by ``graph.nest_flags()``: after ``make_semi_proper``
-    these are the flags it handed over, so ``nesting`` does not run again.
+    A center strictly contains its middle leaf, so the pass visits only the
+    vertices ``graph.nest_flags()`` names, sorted by right end: after
+    ``make_semi_proper`` these are the flags it handed over, so neither
+    ``nesting`` nor the right-endpoint order of the graph is computed.
     """
     alive = [True] * graph.n
     deleted = []
     certs = []
     order, pos = graph.endpoint_order(), graph.endpoint_positions()
-    nests = graph.nest_flags()
-    for u in graph.sigma:
-        # the middle leaf of a claw lies inside its center's span
-        if not (alive[u] and nests[u]):
+    centers = compress(range(graph.n), graph.nest_flags())
+    for u in sorted(centers, key=lambda u: pos[2 * u + 1]):
+        if not alive[u]:
             continue
         leaves = _claw_leaves(order, pos, u, alive)
         if leaves is None:
@@ -130,38 +139,49 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
 
     Candidates go in decreasing rank order against a claw-free G - D. A claw
     created by putting v back contains v, so it is centered at v or at a live
-    neighbor w with v as a leaf. ``ext`` caches each live w's extremes, filled
-    the first time a candidate touches w (with the candidate still dead) and
-    updated when a neighbor goes back. If v becomes neither extreme of w, the
-    outer leaves stay z1, z2 and v can only be the middle leaf: an O(1) test.
-    Otherwise the leaf scan at w decides.
+    neighbor w with v as a leaf, and a center strictly contains its middle
+    leaf: only the vertices ``graph.nest_flags()`` names are looked at as
+    centers. ``ext`` caches each such w's extremes, filled the first time a
+    candidate touches w (with the candidate still dead) and updated when a
+    neighbor goes back. If v becomes neither extreme of w, the outer leaves
+    stay z1, z2 and v can only be the middle leaf: an O(1) test. Otherwise
+    the leaf scan at w decides.
 
-    A neighbor of v either covers l_v or starts inside v's span. One sweep
-    over the endpoint order collects, for every marked v, the intervals open
-    at l_v, so no neighbor lists are built.
+    A center meeting v either covers l_v or starts inside v's span. One sweep
+    over the sorted endpoints of the centers and the candidates' left ends
+    collects the centers open at each l_v, and a bisection over the centers'
+    left ends finds those starting inside v, so nothing walks the whole
+    endpoint order and no neighbor lists are built.
 
     A rejected vertex lies on a claw that later put-backs cannot break, so the
     kept set is inclusion-minimal. Certificates still describe the greedy set.
     """
     order, pos = graph.endpoint_order(), graph.endpoint_positions()
+    nests = graph.nest_flags()
     alive = [True] * graph.n
     for v in deletion.marked:
         alive[v] = False
+    centers = sorted(compress(range(graph.n), nests), key=lambda w: pos[2 * w])
+    starts = [pos[2 * w] for w in centers]
+    events = {2 * v for v in deletion.marked}
+    events.update(2 * w for w in centers)
+    events.update(2 * w + 1 for w in centers)
     covering = {}
     open_ = set()
-    for t in order:
+    for t in sorted(events, key=pos.__getitem__):
         v = t >> 1
         if t & 1:
             open_.discard(v)
         else:
             if not alive[v]:
                 covering[v] = list(open_)
-            open_.add(v)
+            if nests[v]:
+                open_.add(v)
     ext = {}
 
     def creates_claw(v: int, moved: list) -> bool:
         lv, rv = pos[2 * v], pos[2 * v + 1]
-        starts_inside = [t >> 1 for t in order[lv + 1 : rv] if not t & 1]
+        starts_inside = centers[bisect(starts, lv) : bisect(starts, rv)]
         for w in covering[v] + starts_inside:
             if not alive[w]:
                 continue
@@ -187,7 +207,8 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
     marked = sorted(deletion.marked, key=lambda v: pos[2 * v + 1])
     for v in reversed(marked):
         alive[v] = True
-        z = _extremes(order, pos, v, alive)
+        # ``ext`` is read at flagged vertices only; an unflagged v centers nothing
+        z = _extremes(order, pos, v, alive) if nests[v] else (-1, -1)
         moved = []
         if _middle_leaf(order, pos, *z, alive) is not None or creates_claw(v, moved):
             alive[v] = False

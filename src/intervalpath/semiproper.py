@@ -17,21 +17,28 @@ kept on the graph, and a position per token. After that sort everything is
 linear in n + m, so the stage costs O(n log n + m):
 
 - One backward sweep (``nesting``) marks the intervals that contain
-  another, and the loop visits only those centers, in right-end order.
+  another, and the loop visits only those centers, sorted by right end.
   Every vertex a center stretches lies inside it, so it ends before that
   center and its turn has passed (fact 1): no center has moved when its
   turn comes, its span then holds a subset of its input span's tokens, and
   the loop never reads the flags it sets.
-- A center that contains something at its turn therefore has a left and a
-  right end inside its input span (fact 2), so z1(u), the owner of the
-  first right end there, and z2(u), the owner of the last left end, always
-  exist. They are read by one scan of that span in the input order, for
-  those centers only: no neighbor lists and no sweep over the whole order.
-- Edges never change, so every token in a center's span belongs to one of
-  its neighbors. Reading the contained intervals off the span, and
-  rewriting the span in place after a batch, therefore costs O(deg u):
-  moved right ends go just after r_u in left order, moved left ends just
-  before l_u in right order, and nothing outside the span moves.
+- A center that nests in the input has a left and a right end inside its
+  input span (fact 2), so z1(u), the owner of the first right end there,
+  and z2(u), the owner of the last left end, always exist. They are found
+  by scanning that span in the input order from its two ends, for those
+  centers only: no neighbor lists and no sweep over the whole order.
+- A contained v other than z2 starts before l_z2, so it is tied to z2 iff
+  it ends after l_z2; one other than z1 ends after r_z1, so it is tied to
+  z1 iff it starts before r_z1. In the input span only right ends follow
+  l_z2 and only left ends precede r_z1, so the loop reads those two end
+  runs, keeping the owners contained in u now, and the rewrite touches the
+  span's ends only: moved right ends go just after r_u in left order,
+  moved left ends just before l_u in right order. A vertex moved left is
+  not tied to z2, so it ends before l_z2 < r_w for every w moved right,
+  and left ends only ever move left and right ends right: every moved left
+  end precedes every moved right end. Only the head of the span up to the
+  last moved left end and its tail from the first moved right end change,
+  so a center costs the span's ends, not its whole span.
 
 The output places the token at position p on coordinate p + 1; it keeps
 the input's names, weights and name index, and the positions kept up to
@@ -50,11 +57,22 @@ from .intervals import IntervalGraph, nesting, renumbered
 
 def _extremes(order: list, pos: list, u: int) -> tuple:
     """(z1, z2): the owners of the first right end and of the last left end
-    inside u's span. Both exist for a center that contains something."""
-    inner = order[pos[2 * u] + 1 : pos[2 * u + 1]]
-    z1 = next(t for t in inner if t & 1)
-    z2 = next(t for t in reversed(inner) if not t & 1)
-    return z1 >> 1, z2 >> 1
+    inside u's span, scanned from its two ends. Both exist for a center that
+    contains something."""
+    p = pos[2 * u] + 1
+    while not order[p] & 1:
+        p += 1
+    q = pos[2 * u + 1] - 1
+    while order[q] & 1:
+        q -= 1
+    return order[p] >> 1, order[q] >> 1
+
+
+def _place(order: list, pos: list, start: int, tokens: list) -> None:
+    """Write ``tokens`` into ``order`` from ``start`` on, positions too."""
+    order[start : start + len(tokens)] = tokens
+    for p, t in enumerate(tokens, start):
+        pos[t] = p
 
 
 def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
@@ -67,38 +85,38 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     # z1 and z2 are read off the input's order; the stage rewrites a copy.
     in_order, in_pos = graph.endpoint_order(), graph.endpoint_positions()
     order, pos = list(in_order), list(in_pos)
-    left, right = graph.left, graph.right
 
     nests = nesting(in_order, in_pos)
-    for u in list(compress(graph.sigma, map(nests.__getitem__, graph.sigma))):
+    for u in sorted(compress(range(graph.n), nests), key=lambda u: in_pos[2 * u + 1]):
         lo, hi = pos[2 * u], pos[2 * u + 1]
-        span = order[lo : hi + 1]
-        contained = [t >> 1 for t in span if not t & 1 and pos[t + 1] < hi]
-        if not contained:
-            continue
-        # Tied to z2(u), else to z1(u): equal or adjacent in the input, whose
-        # edges stretching preserves. ``contained`` is in left order.
         z1, z2 = _extremes(in_order, in_pos, u)
-        out_right, out_left = [], []
-        for v in contained:
-            if v == z2 or left[v] < right[z2] and left[z2] < right[v]:
-                out_right.append(v)
-            elif v == z1 or left[v] < right[z1] and left[z1] < right[v]:
-                out_left.append(v)
+        l_z2 = in_pos[2 * z2]
+        # Tied to z2(u), else to z1(u), and contained in u now: read off the
+        # input span's two end runs (see the module docstring).
+        out_right = [
+            t >> 1
+            for t in in_order[l_z2 + 1 : in_pos[2 * u + 1]]
+            if lo < pos[t - 1] and pos[t] < hi
+        ]
+        out_left = [
+            t >> 1
+            for t in in_order[in_pos[2 * u] + 1 : in_pos[2 * z1 + 1]]
+            if in_pos[t + 1] < l_z2 and lo < pos[t] and pos[t + 1] < hi
+        ]
         if not out_right and not out_left:
             continue
         # Moved left ends go just before l_u in right order, moved right ends
-        # just after r_u in left order; the rest of the span keeps its order.
+        # just after r_u in left order; only the span's head up to the last
+        # moved left end and its tail from the first moved right end change.
+        out_right.sort(key=lambda v: pos[2 * v])
         out_left.sort(key=lambda v: pos[2 * v + 1])
         moved = {2 * v + 1 for v in out_right} | {2 * v for v in out_left}
-        span = (
-            [2 * v for v in out_left]
-            + [t for t in span if t not in moved]
-            + [2 * v + 1 for v in out_right]
-        )
-        order[lo : hi + 1] = span
-        for p, t in enumerate(span, lo):
-            pos[t] = p
+        head = max((pos[2 * v] for v in out_left), default=lo)
+        tail = min((pos[2 * v + 1] for v in out_right), default=hi)
+        kept = [t for t in order[lo : head + 1] if t not in moved]
+        _place(order, pos, lo, [2 * v for v in out_left] + kept)
+        kept = [t for t in order[tail : hi + 1] if t not in moved]
+        _place(order, pos, tail, kept + [2 * v + 1 for v in out_right])
         for v in out_right + out_left:
             nests[v] = True
 

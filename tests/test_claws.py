@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     exact_deletion_set,
@@ -21,7 +22,9 @@ from intervalpath.claws import (
 )
 from intervalpath.errors import BudgetExceeded, DoubleAugment
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.intervals import build
+from intervalpath.intervals import build, normalize_endpoints
+from intervalpath.pipeline import run_stages
+from intervalpath.semiproper import make_semi_proper
 
 
 def induces_claw(g, witness):
@@ -145,6 +148,51 @@ def test_prune_matches_the_reference_on_larger_deletion_sets(family):
         extra = {v for v in range(g.n) if rng.random() < 0.3}
         d = DeletionSet(approx_deletion_set(g).marked | extra, ())
         assert prune_deletion_set(g, d) == reference_prune_deletion_set(g, d), i
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["random", "heavy_tailed"]),
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 20),
+    mask=st.integers(0, 2**20 - 1),
+)
+def test_prune_matches_the_reference_on_larger_deletion_sets_small(family, seed, n, mask):
+    if family == "random":
+        g = generate(GeneratorSpec(kind="random", n=n, seed=seed))
+    else:
+        g = heavy_tailed(n, seed)
+    extra = {v for v in range(g.n) if mask >> v & 1}
+    d = DeletionSet(approx_deletion_set(g).marked | extra, ())
+    pruned = prune_deletion_set(g, d)
+    assert pruned == reference_prune_deletion_set(g, d)
+    assert pruned.marked == naive_prune(g, d)
+
+
+class _NoSweep(list):
+    """An endpoint order that can be indexed and sliced but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("a pass over the whole endpoint order")
+
+    def __reversed__(self):
+        raise AssertionError("a pass over the whole endpoint order")
+
+
+def test_claw_stages_do_not_walk_the_whole_order():
+    """The greedy and the pruning read the nesting centers and their spans'
+    ends only: a solve never builds sigma of the semi-proper graph, and both
+    stages give the same sets on an order that refuses to be iterated."""
+    g = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=1))
+    assert run_stages(g).semi._sigma is None
+    for g in (g, heavy_tailed(300, 3)):
+        semi = make_semi_proper(normalize_endpoints(g))
+        greedy = approx_deletion_set(semi)
+        pruned = prune_deletion_set(semi, greedy)
+        assert greedy.marked and pruned.marked
+        semi._order = _NoSweep(semi._order)
+        assert approx_deletion_set(semi) == greedy
+        assert prune_deletion_set(semi, greedy) == pruned
 
 
 def test_exact_claw4(claw4):

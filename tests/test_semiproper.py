@@ -15,7 +15,7 @@ from helpers import (
 )
 from intervalpath.claws import approx_deletion_set, prune_deletion_set
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.intervals import nesting, normalize_endpoints
+from intervalpath.intervals import build, nesting, normalize_endpoints
 from intervalpath.pipeline import longest_path
 from intervalpath.semiproper import _extremes, make_semi_proper
 
@@ -79,6 +79,31 @@ def test_every_surviving_containment_has_a_claw(claw4):
     alive = [True] * out.n
     for u, v in containments(out):
         assert reference_claw_leaves(out, out.by_name(u), alive) is not None
+
+
+def test_outer_center_moves_ends_an_inner_center_moved():
+    """A and B, inside U, stretch a left and f right; U then stretches A and a
+    past l_U and B and f past r_U, so its head and tail rewrites start from
+    positions the inner centers changed."""
+    g = build(
+        [
+            ("U", 0, 100, 1),
+            ("A", 10, 40, 1),  # z1(A) = a, which moves before l_A
+            ("a", 20, 25, 1),  # z1(U)
+            ("b", 30, 50, 1),
+            ("B", 60, 90, 1),  # z2(B) = c, so f moves past r_B
+            ("e", 55, 65, 1),
+            ("f", 80, 85, 1),
+            ("c", 84, 110, 1),  # z2(U)
+        ]
+    )
+    out = make_semi_proper(g)
+    assert out.records() == reference_semi_proper(g).records()
+    assert containments(out) == {("U", "b"), ("U", "e")}
+    assert [out.names[t >> 1] + "lr"[t & 1] for t in out.endpoint_order()] == [
+        "al", "Al", "Ul", "ar", "bl", "Ar", "br", "el", "Bl", "er",
+        "fl", "cl", "Ur", "Br", "fr", "cr",
+    ]
 
 
 def _reference_cases():
