@@ -183,9 +183,9 @@ def test_claw_stages_do_not_walk_the_whole_order():
     """The greedy and the pruning read the nesting centers and their spans'
     ends only: a solve never builds sigma of the semi-proper graph, and both
     stages give the same sets on an order that refuses to be iterated."""
-    g = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=1))
-    assert run_stages(g).semi._sigma is None
-    for g in (g, heavy_tailed(300, 3)):
+    planted = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=1))
+    assert run_stages(planted).semi._sigma is None
+    for g in (planted, heavy_tailed(300, 3)):
         semi = make_semi_proper(normalize_endpoints(g))
         greedy = approx_deletion_set(semi)
         pruned = prune_deletion_set(semi, greedy)
