@@ -74,6 +74,24 @@ MUTANTS = [
         "(cand == best and run_j[cut] <= sj)",
     ),
     (
+        "sharing: a nested leg writes into its stand-in's column",
+        DP,
+        "cols[key] = src.copy()",
+        "cols[key] = src",
+    ),
+    (
+        "sharing: a TAIL or SPLIT parent reads as COPY",
+        DP,
+        "        won = self._wins.get((v, y))\n",
+        "        won = None\n",
+    ),
+    (
+        "sharing: a TAIL that only ties its COPY is written",
+        DP,
+        "if got is not None and got + w_pair > best:",
+        "if got is not None and got + w_pair >= best:",
+    ),
+    (
         "semi-proper: z2 from the first left token in the span",
         SEMI,
         "    q = pos[2 * u + 1] - 1\n    while order[q] & 1:\n        q -= 1\n",

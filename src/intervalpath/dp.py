@@ -6,7 +6,7 @@ visits vertices in right-endpoint order; each entry is seeded by inheriting
 from the stand-in vertex π (the latest dependent-side neighbor before v_i),
 then challenged by paths threading v_i between an earlier leg and a tail.
 
-Each entry is written once. Its candidates are compared locally in a fixed
+Each entry is decided once. Its candidates are compared locally in a fixed
 order: INIT, COPY, SELF_APPEND, TAIL (the bare tail (v_i, y) after a leg
 ending before l_y, which needs no split coordinate ζ), then SPLIT by
 increasing ζ. A later candidate wins only if it is strictly heavier, except
@@ -17,14 +17,24 @@ is the stand-in π(y, v_i), which ranks below v_i, while every write has
 v_i as its middle index: what is read is final before v_i. So each value
 is read once per v_i, and every ξ row does flat list work only.
 
-- Columns. The table is stored as ``cols[v, y]`` (values) and
-  ``pcols[v, y]`` (parents): lists indexed by ξ position, None where there
-  is no entry. A path ending at y lies above ξ only if ξ <= l_y, so every
-  column ending at y has one slot per ξ <= l_y. Once per v_i, each leg
-  takes its stand-in's column ``cols[π(y, v_i), y]`` and allocates v_i's
-  two output columns for y; the rows then only index lists.
-  ``DpTable.W`` and ``DpTable.parent`` are read-only ``ColumnView``
-  mappings over the columns, keyed by (ξ position, v, y) as before.
+- Columns, shared with their stand-ins. The table is stored as
+  ``cols[v, y]``: value lists indexed by ξ position. A path ending at y lies
+  above ξ only if ξ <= l_y, so every column ending at y has one slot per
+  ξ <= l_y, and no slot is empty: an own column (v, v) is filled from
+  INIT, and a leg column starts as its stand-in's full column. Only a leg
+  y that starts inside v_i can take a TAIL or SPLIT; any other leg has
+  ``ends[y] <= ends[v_i]``, so its every entry is a COPY and v_i's column
+  for it is the very list ``cols[π(y, v_i), y]``. A nested leg's column is
+  that list too until a TAIL or SPLIT is strictly heavier in some slot:
+  the first such win copies the list (in C) and the sweep writes only the
+  winning slots into the copy, so a stand-in's column never changes.
+- Parents are as sparse. ``pcols[v, v]`` is v's own parent list (INIT or
+  SELF_APPEND per slot). For a leg y, ``pcols[v, y]`` is the stand-in p,
+  and every entry is ("COPY", p) except the slots in ``wins[v, y]``, a
+  {ξ position: parent} dict made with the copy, so a column has a list
+  of its own exactly when it has wins.
+  ``DpTable.W`` and ``DpTable.parent`` are read-only mappings over these,
+  keyed by (ξ position, v, y): ``ColumnView`` and ``ParentView``.
 - Stand-ins come from the sweep. After a dependent v_i is swept, it
   becomes ``last_b[y]`` for each earlier neighbor y. Vertices are swept in
   rank order, so when v_i comes, ``last_b[y]`` is the latest dependent
@@ -39,12 +49,12 @@ is read once per v_i, and every ξ row does flat list work only.
   them, found by bisection once per v_i; the split tails W[ζ][π(y, v_i), y]
   for ζ in (l_{v_i}, l_y] are read then too, since they do not depend on ξ.
   The rows of a nested y above l_{v_i} are copies of those same values,
-  and are written then as well.
+  already in place in the column it shares or copies.
 - One running-max pass per ξ. The pass over the legs fills ``run_v[c]``
   and ``run_j[c]``, the best value among the first c legs inside ξ and the
-  earliest leg holding it, so every query is a list index. A nested y's
-  cuts all end below l_y < r_y, so y's entry is decided in the same pass,
-  as soon as the pass reaches y; v_i's own entry comes after the pass.
+  earliest leg holding it, so every query is a list index. It reads the
+  stand-ins' columns only, so after the pass each nested y's entry and
+  v_i's own entry are decided from run_v and run_j alone.
 
 Dominated split tails are dropped once per v_i, by ``undominated_tails``.
 A split at ζ offers run_v[c] + t, where c is the cut below ζ and t the tail
@@ -103,7 +113,11 @@ class DpResult:
 
 @dataclass
 class DpTable:
-    """Value and provenance per (ξ index, sweep vertex, path end) triple."""
+    """Value and provenance per (ξ index, sweep vertex, path end) triple.
+
+    ``max_weight_path`` fills ``W`` and ``parent`` with read-only views over
+    columns that share lists with their stand-ins (see the module notes);
+    plain dicts work too, for ``reconstruct``."""
 
     graph: IntervalGraph
     xi: XiSet
@@ -112,8 +126,8 @@ class DpTable:
 
 
 class ColumnView(Mapping):
-    """Read-only (ξ index, v, y) mapping over columns ``cols[v, y]``: lists
-    indexed by ξ index, with None where there is no entry."""
+    """Read-only (ξ index, v, y) mapping over value columns ``cols[v, y]``:
+    lists indexed by ξ index, with an entry in every slot."""
 
     __slots__ = ("_cols",)
 
@@ -123,18 +137,45 @@ class ColumnView(Mapping):
     def __getitem__(self, key):
         pos, v, y = key
         col = self._cols.get((v, y))
-        if col is not None and 0 <= pos < len(col) and col[pos] is not None:
+        if col is not None and 0 <= pos < len(col):
             return col[pos]
         raise KeyError(key)
 
     def __iter__(self):
         for (v, y), col in self._cols.items():
-            for pos, val in enumerate(col):
-                if val is not None:
-                    yield pos, v, y
+            for pos in range(len(col)):
+                yield pos, v, y
 
     def __len__(self):
-        return sum(len(col) - col.count(None) for col in self._cols.values())
+        return sum(map(len, self._cols.values()))
+
+
+class ParentView(ColumnView):
+    """Read-only (ξ index, v, y) mapping of parents, with the keys of the
+    value columns. ``pcols[v, v]`` is v's own parent column. For y != v,
+    ``pcols[v, y]`` is the stand-in p whose entry each (ξ, v, y) copies,
+    read as ("COPY", p), except at the ξ indices in ``wins[v, y]``, which
+    map to the TAIL or SPLIT that was strictly heavier."""
+
+    __slots__ = ("_pcols", "_wins")
+
+    def __init__(self, cols: dict, pcols: dict, wins: dict):
+        super().__init__(cols)
+        self._pcols = pcols
+        self._wins = wins
+
+    def __getitem__(self, key):
+        pos, v, y = key
+        col = self._cols.get((v, y))
+        if col is None or not 0 <= pos < len(col):
+            raise KeyError(key)
+        par = self._pcols[v, y]
+        if v == y:
+            return par[pos]
+        won = self._wins.get((v, y))
+        if won is not None and pos in won:
+            return won[pos]
+        return ("COPY", par)
 
 
 def build_xi(graph: IntervalGraph, a_set: frozenset, b_set: frozenset) -> XiSet:
@@ -225,12 +266,12 @@ def max_weight_path(
     ends = [bisect_right(xs_sorted, left[v]) for v in range(g.n)]
     cols = {}
     pcols = {}
+    wins = {}
     # last_b[y] = pi(y, v_i): the last dependent vertex swept so far that
     # overlaps y from above, or y itself
     last_b = list(range(g.n))
 
     for i, vi in enumerate(sigma):
-        r_vi = right[vi]
         l_vi = left[vi]
         w_vi = wt[vi]
         zlo = ends[vi]
@@ -246,78 +287,73 @@ def max_weight_path(
         # cut c stands for the first c legs; zcut[ζ - zlo] are the legs ending below ζ
         ztop = bisect_right(xs_sorted, max(map(left.__getitem__, earlier), default=l_vi))
         zcut = [bisect_left(rights, xs_sorted[z], lo, i) - lo for z in range(zlo, ztop)]
-        # legs[k] = (y, p = pi(y, v_i), p's value column for y, v_i's value and
-        # parent columns for y, their length, cut below l_y, w_vi + w_y, split
-        # tails) for the k-th earlier neighbor. Only a nested y (one that
-        # starts inside v_i) has a cut and tails; its rows above l_vi are
-        # copies, filled here.
-        legs = []
+        # srcs[k] is the k-th leg's stand-in column, and v_i's column for that
+        # leg is the same list. A nested leg y, the only kind a TAIL or SPLIT
+        # can win, gets an entry (key (v_i, y), p, its stand-in column, cut
+        # below l_y, w_vi + w_y, split tails) in nested.
+        srcs = []
+        nested = []
         for y, p in zip(earlier, stand):
-            end = ends[y]
+            key = (vi, y)
             src = cols[p, y]
-            ow = cols[vi, y] = [None] * end
-            op = pcols[vi, y] = [None] * end
-            copy = ("COPY", p)
-            tcut = -1
-            tails = None
-            if left[y] > l_vi:
-                tcut = bisect_left(rights, left[y], lo, i) - lo
-                # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
-                tails = []
-                for zpos in range(zlo, end):
-                    tail = src[zpos]
-                    if tail is not None:
-                        ow[zpos] = tail
-                        op[zpos] = copy
-                        tails.append((zcut[zpos - zlo], w_vi + tail, zpos))
-                tails = undominated_tails(tails)
-            legs.append((y, p, src, ow, op, end, copy, tcut, w_vi + wt[y], tails))
+            srcs.append(src)
+            pcols[key] = p
+            cols[key] = src
+            if left[y] < l_vi:
+                continue
+            tcut = bisect_left(rights, left[y], lo, i) - lo
+            # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
+            tails = undominated_tails(
+                [(zcut[z - zlo], w_vi + src[z], z) for z in range(zlo, ends[y])]
+            )
+            nested.append((key, p, src, tcut, w_vi + wt[y], tails))
 
         # run_v[c], run_j[c]: the best leg value among the first c legs inside
         # ξ and the earliest leg holding it; refilled by every row
-        run_v = [None] * (len(legs) + 1)
-        run_j = [0] * (len(legs) + 1)
+        run_v = [None] * (len(srcs) + 1)
+        run_j = [0] * (len(srcs) + 1)
         own = cols[vi, vi] = [None] * zlo
         opar = pcols[vi, vi] = [None] * zlo
         for pos in range(zlo):
             bv = None
             bj = 0
-            for k, (y, p, src, ow, op, end, copy, tcut, w_pair, tails) in enumerate(legs, 1):
-                if pos >= end:
-                    run_v[k] = bv
-                    run_j[k] = bj
-                    continue
-                best = val = src[pos]
-                par = copy
-                if tails is not None:
-                    # every cut y reads ends below l_y < r_y, so it is filled
-                    got = run_v[tcut]
-                    if got is not None:
-                        cand = got + w_pair
-                        if best is None or cand > best:
-                            j = run_j[tcut]
-                            best, par = cand, ("TAIL", legs[j][0], legs[j][1])
-                    sj = -1  # the winning split's leg; no split wins yet
-                    for cut, tail, zpos in tails:
-                        got = run_v[cut]
-                        if got is None:
-                            continue
-                        cand = got + tail
-                        if best is None or cand > best or (cand == best and run_j[cut] < sj):
-                            best, sj, sz = cand, run_j[cut], zpos
-                    if sj >= 0:
-                        par = ("SPLIT", legs[sj][0], legs[sj][1], sz, p)
-                if best is not None:
-                    ow[pos] = best
-                    op[pos] = par
-                if val is not None and (bv is None or val > bv):
-                    bv, bj = val, k - 1
+            for k, src in enumerate(srcs, 1):
+                if pos < len(src):
+                    val = src[pos]
+                    if bv is None or val > bv:
+                        bv, bj = val, k - 1
                 run_v[k] = bv
                 run_j[k] = bj
 
+            for key, p, src, tcut, w_pair, tails in nested:
+                best = src[pos]
+                par = None
+                got = run_v[tcut]
+                if got is not None and got + w_pair > best:
+                    j = run_j[tcut]
+                    best, par = got + w_pair, ("TAIL", earlier[j], stand[j])
+                sj = -1  # the winning split's leg; no split wins yet
+                for cut, tail, zpos in tails:
+                    got = run_v[cut]
+                    if got is None:
+                        continue
+                    cand = got + tail
+                    if cand > best or (cand == best and run_j[cut] < sj):
+                        best, sj, sz = cand, run_j[cut], zpos
+                if sj >= 0:
+                    par = ("SPLIT", earlier[sj], stand[sj], sz, p)
+                if par is not None:
+                    won = wins.get(key)
+                    if won is None:
+                        # the first win: the column stops being the stand-in's
+                        cols[key] = src.copy()
+                        won = wins[key] = {}
+                    cols[key][pos] = best
+                    won[pos] = par
+
             best, par = w_vi, ("INIT",)
             if bv is not None and bv + w_vi > best:
-                best, par = bv + w_vi, ("SELF_APPEND", legs[bj][0], legs[bj][1])
+                best, par = bv + w_vi, ("SELF_APPEND", earlier[bj], stand[bj])
             own[pos] = best
             opar[pos] = par
 
@@ -326,14 +362,11 @@ def max_weight_path(
     best_key = None
     best = None
     for (v, y), col in cols.items():
-        val = col[0]
-        if val is None:
-            continue
-        order = (-val, rank[v], rank[y])
+        order = (-col[0], rank[v], rank[y])
         if best is None or order < best:
             best = order
             best_key = (0, v, y)
-    table = DpTable(graph=g, xi=xi, W=ColumnView(cols), parent=ColumnView(pcols))
+    table = DpTable(graph=g, xi=xi, W=ColumnView(cols), parent=ParentView(cols, pcols, wins))
     weight = table.W[best_key]
     path = reconstruct(table, best_key)
     if path == [special.v0]:

@@ -380,6 +380,36 @@ def test_dp_tables_equal_the_reference():
         assert got_reads == want_reads
 
 
+def test_dp_columns_have_no_holes():
+    for sp in golden_specials():
+        table = max_weight_path(sp).table
+        assert None not in table.W.values()
+        assert None not in table.parent.values()
+
+
+def test_copy_columns_share_their_stand_in():
+    saw_shared = saw_write = False
+    for sp in golden_specials():
+        table = max_weight_path(sp).table
+        g = table.graph
+        pit = PiTable(g, {g.by_name(nm) for nm in sp.B})
+        cols = table.W._cols
+        for (v, y), col in cols.items():
+            if v == y:
+                continue
+            p = pit.lookup(y, v)
+            won = [pos for pos in range(len(col)) if table.parent[pos, v, y][0] != "COPY"]
+            if g.left[y] < g.left[v]:
+                assert not won
+            else:
+                saw_shared = saw_shared or not won
+            assert (col is cols[p, y]) == (not won)
+            for pos in won:
+                saw_write = True
+                assert table.W[pos, p, y] < col[pos]
+    assert saw_shared and saw_write
+
+
 def test_invalid_partitions_rejected():
     sp = special_of([("a1", 0, 3, 1), ("a2", 2, 5, 1)], ["a1", "a2"], kappa=3)
     with pytest.raises(InvalidSpecialPartition, match="independent side has an edge"):
