@@ -92,16 +92,28 @@ MUTANTS = [
         "if got is not None and got + w_pair >= best:",
     ),
     (
-        "semi-proper: z2 from the first left token in the span",
-        SEMI,
-        "    q = pos[2 * u + 1] - 1\n    while order[q] & 1:\n        q -= 1\n",
-        "    q = pos[2 * u] + 1\n    while order[q] & 1:\n        q += 1\n",
+        "split grid: a covered dependent vertex keeps its own left end as ξ",
+        DP,
+        "            coords.add(a_lefts[pos])\n",
+        "",
     ),
     (
-        "semi-proper: z1 from the last right token in the span",
-        SEMI,
-        "    p = pos[2 * u] + 1\n    while not order[p] & 1:\n        p += 1\n",
-        "    p = pos[2 * u + 1] - 1\n    while not order[p] & 1:\n        p -= 1\n",
+        "split grid: skip the nesting check",
+        DP,
+        "if right[v] < right[a_sorted[pos]]:",
+        "if False:",
+    ),
+    (
+        "extremes: z2 from the first left token in the span",
+        INTERVALS,
+        "    for p in range(hi - 1, lo, -1):\n        t = order[p]\n        if not t & 1",
+        "    for p in range(lo + 1, hi):\n        t = order[p]\n        if not t & 1",
+    ),
+    (
+        "extremes: z1 from the last right token in the span",
+        INTERVALS,
+        "    for p in range(lo + 1, hi):\n        t = order[p]\n        if t & 1",
+        "    for p in range(hi - 1, lo, -1):\n        t = order[p]\n        if t & 1",
     ),
     (
         "semi-proper: left-end scan stops before r_z1",

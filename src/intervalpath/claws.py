@@ -14,7 +14,8 @@ either way they pairwise intersect and u centers no claw. Otherwise z1(u)
 owns the first live right end inside the span and z2(u) the last live left
 end, and a middle leaf is a live interval strictly inside (r_z1, l_z2): the
 first live right end there whose left end also is. Every token in u's span
-belongs to a neighbor of u, so each scan costs O(deg u).
+belongs to a neighbor of u, so each scan costs O(deg u). The extremes come
+from ``span_extremes`` in ``intervals``, the scanner semi-proper uses too.
 
 A claw's center strictly contains its middle leaf, so only an interval that
 contains another can center one. The greedy and the pruning therefore look
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import DoubleAugment
-from .intervals import IntervalGraph, fresh_name, with_sentinels
+from .intervals import IntervalGraph, fresh_name, span_extremes, with_sentinels
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,6 @@ class DeletionSet:
     dummies: tuple | None = None
 
 
-def _extremes(order: list, pos: list, u: int, alive) -> tuple:
-    """(z1, z2): the owner of the first live right end inside u's span and
-    of the last live left end inside it, -1 for none."""
-    lo, hi = pos[2 * u], pos[2 * u + 1]
-    z1 = z2 = -1
-    for p in range(lo + 1, hi):
-        t = order[p]
-        if t & 1 and alive[t >> 1]:
-            z1 = t >> 1
-            break
-    for p in range(hi - 1, lo, -1):
-        t = order[p]
-        if not t & 1 and alive[t >> 1]:
-            z2 = t >> 1
-            break
-    return z1, z2
-
-
 def _middle_leaf(order: list, pos: list, z1: int, z2: int, alive) -> tuple | None:
     """Leaves of a claw with outer leaves z1, z2 (a center's extremes), or
     None: the live interval strictly inside (r_z1, l_z2) that ends first."""
@@ -92,7 +75,7 @@ def _middle_leaf(order: list, pos: list, z1: int, z2: int, alive) -> tuple | Non
 
 def _claw_leaves(order: list, pos: list, u: int, alive) -> tuple | None:
     """Leaves of some induced claw centered at u within ``alive``, or None."""
-    z1, z2 = _extremes(order, pos, u, alive)
+    z1, z2 = span_extremes(order, pos, u, alive)
     return _middle_leaf(order, pos, z1, z2, alive)
 
 
@@ -188,7 +171,7 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
             z = ext.get(w)
             if z is None:
                 alive[v] = False
-                z = ext[w] = _extremes(order, pos, w, alive)
+                z = ext[w] = span_extremes(order, pos, w, alive)
                 alive[v] = True
             z1, z2 = z
             lw, rw = pos[2 * w], pos[2 * w + 1]
@@ -208,7 +191,7 @@ def prune_deletion_set(graph: IntervalGraph, deletion: DeletionSet) -> DeletionS
     for v in reversed(marked):
         alive[v] = True
         # ``ext`` is read at flagged vertices only; an unflagged v centers nothing
-        z = _extremes(order, pos, v, alive) if nests[v] else (-1, -1)
+        z = span_extremes(order, pos, v, alive) if nests[v] else (-1, -1)
         moved = []
         if _middle_leaf(order, pos, *z, alive) is not None or creates_claw(v, moved):
             alive[v] = False

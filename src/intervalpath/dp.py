@@ -89,20 +89,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CorruptParentChain, InvalidSpecialPartition
 from .intervals import IntervalGraph
 from .reduce2 import SpecialWeightedIntervalGraph
-
-@dataclass(frozen=True)
-class XiSet:
-    """Split coordinates: for each dependent vertex, its own left endpoint or
-    the left endpoint of the unique independent interval covering it."""
-
-    xi_of: dict
-    Xi: tuple
-
 
 @dataclass(frozen=True)
 class DpResult:
@@ -111,18 +102,20 @@ class DpResult:
     table: "DpTable"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpTable:
     """Value and provenance per (ξ index, sweep vertex, path end) triple.
 
-    ``max_weight_path`` fills ``W`` and ``parent`` with read-only views over
-    columns that share lists with their stand-ins (see the module notes);
-    plain dicts work too, for ``reconstruct``."""
+    ``Xi`` holds the split coordinates by increasing value, as ``split_grid``
+    returns them; a ξ index is a position in it. ``max_weight_path`` sets
+    ``W`` and ``parent`` to read-only views over columns that share lists
+    with their stand-ins (see the module notes); plain dicts work too, for
+    ``reconstruct``."""
 
     graph: IntervalGraph
-    xi: XiSet
-    W: Mapping = field(default_factory=dict)
-    parent: Mapping = field(default_factory=dict)
+    Xi: tuple
+    W: Mapping
+    parent: Mapping
 
 
 class ColumnView(Mapping):
@@ -178,49 +171,46 @@ class ParentView(ColumnView):
         return ("COPY", par)
 
 
-def build_xi(graph: IntervalGraph, a_set: frozenset, b_set: frozenset) -> XiSet:
-    a_sorted = sorted((graph.by_name(nm) for nm in a_set), key=graph.left.__getitem__)
-    a_lefts = [graph.left[v] for v in a_sorted]
-    xi_of = {}
-    coords = set()
-    for nm in b_set:
-        v = graph.by_name(nm)
-        lv = graph.left[v]
-        pos = bisect_right(a_lefts, lv) - 1
-        if pos >= 0 and graph.right[a_sorted[pos]] > lv:
-            xi_of[nm] = a_lefts[pos]
-        else:
-            xi_of[nm] = lv
-        coords.add(xi_of[nm])
-        coords.add(lv)
-    return XiSet(xi_of=xi_of, Xi=tuple(sorted(coords)))
+def split_grid(special: SpecialWeightedIntervalGraph) -> tuple:
+    """(dependent, Xi) of a special graph, after checking that it is one.
 
-
-def _validate(special: SpecialWeightedIntervalGraph) -> None:
+    ``dependent[v]`` says whether v is on the dependent side B. ``Xi`` holds,
+    by increasing value, each dependent vertex's left end and the left end
+    of the independent interval covering it, if any. A is sorted by left end
+    once: the independent interval that starts last at or before l_v is the
+    only one that can cover or contain v, so one bisection per dependent
+    vertex serves both the nesting check and ξ.
+    """
     g = special.graph
-    names = set(g.names)
-    if special.A & special.B or (special.A | special.B) != names:
+    if special.A & special.B or (special.A | special.B) != set(g.names):
         raise InvalidSpecialPartition("vertex sets do not split the graph")
-    a_sorted = sorted((g.by_name(nm) for nm in special.A), key=g.left.__getitem__)
+    left, right = g.left, g.right
+    a_sorted = sorted(map(g.by_name, special.A), key=left.__getitem__)
     for u, v in zip(a_sorted, a_sorted[1:]):
         if g.adjacent(u, v):
             raise InvalidSpecialPartition("independent side has an edge")
-    a_lefts = [g.left[v] for v in a_sorted]
-    for v in range(g.n):
-        pos = bisect_right(a_lefts, g.left[v]) - 1
-        if pos >= 0:
-            a = a_sorted[pos]
-            if a != v and g.left[a] < g.left[v] and g.right[v] < g.right[a]:
+    a_lefts = [left[a] for a in a_sorted]
+    dependent = [False] * g.n
+    coords = set()
+    for v in map(g.by_name, special.B):
+        dependent[v] = True
+        lv = left[v]
+        coords.add(lv)
+        pos = bisect_right(a_lefts, lv) - 1
+        if pos >= 0 and right[a_sorted[pos]] > lv:
+            if right[v] < right[a_sorted[pos]]:
                 raise InvalidSpecialPartition("interval nested inside the independent side")
+            coords.add(a_lefts[pos])
     if special.v0 not in special.B:
         raise InvalidSpecialPartition(f"start vertex {special.v0!r} is not on the dependent side")
     start = g.by_name(special.v0)
     if g.weight[start] != 0:
         raise InvalidSpecialPartition("start vertex has nonzero weight")
-    if any(g.left[v] < g.right[start] for v in range(g.n) if v != start):
+    if any(left[v] < right[start] for v in range(g.n) if v != start):
         raise InvalidSpecialPartition("start vertex does not end before every other interval")
     if len(special.B) > special.kappa:
         raise InvalidSpecialPartition("dependent side exceeds its budget")
+    return dependent, tuple(sorted(coords))
 
 
 def undominated_tails(tails: list) -> list:
@@ -249,19 +239,12 @@ def undominated_tails(tails: list) -> list:
     return kept
 
 
-def max_weight_path(
-    special: SpecialWeightedIntervalGraph, trace_reads: list | None = None
-) -> DpResult:
+def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     """Best-weight path of the special graph, with parent chains for replay."""
-    _validate(special)
+    dependent, xs_sorted = split_grid(special)
     g = special.graph
-    xi = build_xi(g, special.A, special.B)
-    xs_sorted = xi.Xi
     rank, left, right, wt, sigma = g.rank, g.left, g.right, g.weight, g.sigma
     rights = [right[v] for v in sigma]
-    dependent = [False] * g.n
-    for nm in special.B:
-        dependent[g.by_name(nm)] = True
     # every column ending at y has one slot per ξ <= l_y
     ends = [bisect_right(xs_sorted, left[v]) for v in range(g.n)]
     cols = {}
@@ -279,8 +262,6 @@ def max_weight_path(
         lo = bisect_right(rights, l_vi, 0, i)
         earlier = sigma[lo:i]
         stand = [last_b[y] for y in earlier]
-        if trace_reads is not None:
-            trace_reads.extend((vi, p) for p in stand)
         if dependent[vi]:
             for y in earlier:
                 last_b[y] = vi
@@ -357,8 +338,6 @@ def max_weight_path(
             own[pos] = best
             opar[pos] = par
 
-    v0_idx = g.by_name(special.v0)
-    assert xs_sorted and xs_sorted[0] == g.left[v0_idx]
     best_key = None
     best = None
     for (v, y), col in cols.items():
@@ -366,7 +345,7 @@ def max_weight_path(
         if best is None or order < best:
             best = order
             best_key = (0, v, y)
-    table = DpTable(graph=g, xi=xi, W=ColumnView(cols), parent=ParentView(cols, pcols, wins))
+    table = DpTable(graph=g, Xi=xs_sorted, W=ColumnView(cols), parent=ParentView(cols, pcols, wins))
     weight = table.W[best_key]
     path = reconstruct(table, best_key)
     if path == [special.v0]:

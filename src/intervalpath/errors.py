@@ -41,10 +41,6 @@ class DoubleAugment(IntervalError):
     """Sentinel vertices were already added."""
 
 
-class BudgetExceeded(IntervalError):
-    """Search tree grew past the configured node cap."""
-
-
 class TooLarge(IntervalError):
     """Instance exceeds the brute-force guard."""
 

@@ -271,6 +271,25 @@ def nesting(order, pos) -> list:
     return nests
 
 
+def span_extremes(order, pos, u: int, alive) -> tuple:
+    """(z1, z2): the owner of the first live right end inside u's span and
+    of the last live left end inside it, -1 for none, scanned from the
+    span's two ends over a token order and its positions."""
+    lo, hi = pos[2 * u], pos[2 * u + 1]
+    z1 = z2 = -1
+    for p in range(lo + 1, hi):
+        t = order[p]
+        if t & 1 and alive[t >> 1]:
+            z1 = t >> 1
+            break
+    for p in range(hi - 1, lo, -1):
+        t = order[p]
+        if not t & 1 and alive[t >> 1]:
+            z2 = t >> 1
+            break
+    return z1, z2
+
+
 def from_endpoint_order(names, order, weight, pos=None) -> IntervalGraph:
     """The graph on 1..2n whose endpoints, read in increasing order, are the
     tokens of ``order``, which it keeps as its endpoint order (position p is

@@ -25,8 +25,10 @@ linear in n + m, so the stage costs O(n log n + m):
 - A center that nests in the input has a left and a right end inside its
   input span (fact 2), so z1(u), the owner of the first right end there,
   and z2(u), the owner of the last left end, always exist. They are found
-  by scanning that span in the input order from its two ends, for those
-  centers only: no neighbor lists and no sweep over the whole order.
+  by ``span_extremes`` (in ``intervals``, shared with the claw stages,
+  every vertex alive), which scans that span in the input order from its
+  two ends, for those centers only: no neighbor lists and no sweep over
+  the whole order.
 - A contained v other than z2 starts before l_z2, so it is tied to z2 iff
   it ends after l_z2; one other than z1 ends after r_z1, so it is tied to
   z1 iff it starts before r_z1. In the input span only right ends follow
@@ -52,20 +54,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .intervals import IntervalGraph, nesting, renumbered
-
-
-def _extremes(order: list, pos: list, u: int) -> tuple:
-    """(z1, z2): the owners of the first right end and of the last left end
-    inside u's span, scanned from its two ends. Both exist for a center that
-    contains something."""
-    p = pos[2 * u] + 1
-    while not order[p] & 1:
-        p += 1
-    q = pos[2 * u + 1] - 1
-    while order[q] & 1:
-        q -= 1
-    return order[p] >> 1, order[q] >> 1
+from .intervals import IntervalGraph, nesting, renumbered, span_extremes
 
 
 def _place(order: list, pos: list, start: int, tokens: list) -> None:
@@ -85,11 +74,12 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     # z1 and z2 are read off the input's order; the stage rewrites a copy.
     in_order, in_pos = graph.endpoint_order(), graph.endpoint_positions()
     order, pos = list(in_order), list(in_pos)
+    alive = [True] * graph.n
 
     nests = nesting(in_order, in_pos)
     for u in sorted(compress(range(graph.n), nests), key=lambda u: in_pos[2 * u + 1]):
         lo, hi = pos[2 * u], pos[2 * u + 1]
-        z1, z2 = _extremes(in_order, in_pos, u)
+        z1, z2 = span_extremes(in_order, in_pos, u, alive)
         l_z2 = in_pos[2 * z2]
         # Tied to z2(u), else to z1(u), and contained in u now: read off the
         # input span's two end runs (see the module docstring).

@@ -6,8 +6,8 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 from intervalpath.claws import ClawWitness, DeletionSet, _claw_leaves
-from intervalpath.dp import DpResult, DpTable, _validate, build_xi, reconstruct
-from intervalpath.errors import BudgetExceeded, EmptySet, InvalidPath
+from intervalpath.dp import DpResult, DpTable, reconstruct, split_grid
+from intervalpath.errors import EmptySet, IntervalError, InvalidPath
 from intervalpath.intervals import IntervalGraph, build, token_order
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.paths import _to_indices
@@ -305,6 +305,10 @@ def is_weakly_reducible(graph: IntervalGraph, vertices) -> bool:
     return True
 
 
+class BudgetExceeded(IntervalError):
+    """Search tree grew past the configured node cap."""
+
+
 def exact_deletion_set(
     graph: IntervalGraph, k_max: int = 8, node_cap: int = 1_000_000
 ) -> DeletionSet | None:
@@ -441,16 +445,12 @@ def subgraph_contains(graph: IntervalGraph, xi, v_i: str, v: str) -> bool:
     return xi <= graph.left[b] and graph.right[b] <= graph.right[a]
 
 
-def reference_max_weight_path(
-    special: SpecialWeightedIntervalGraph, trace_reads: list | None = None
-) -> DpResult:
+def reference_max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     """Best-weight path of the special graph, with parent chains for replay."""
-    _validate(special)
+    _, xs_sorted = split_grid(special)
     g = special.graph
-    xi = build_xi(g, special.A, special.B)
-    xs_sorted = xi.Xi
     pit = PiTable(g, {g.by_name(nm) for nm in special.B})
-    table = DpTable(graph=g, xi=xi)
+    table = DpTable(graph=g, Xi=xs_sorted, W={}, parent={})
     W, parent = table.W, table.parent
     rank, left, right, wt = g.rank, g.left, g.right, g.weight
 
@@ -466,8 +466,6 @@ def reference_max_weight_path(
             if rank[y] >= rank[vi]:
                 break
             p = pit.lookup(y, vi)
-            if trace_reads is not None:
-                trace_reads.append((vi, p))
             tails = None
             if left[y] >= l_vi:
                 # (ζ offset from zlo, v_i's weight plus the tail from ζ)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    BudgetExceeded,
     exact_deletion_set,
     has_claw,
     heavy_tailed,
@@ -20,7 +21,7 @@ from intervalpath.claws import (
     approx_deletion_set,
     prune_deletion_set,
 )
-from intervalpath.errors import BudgetExceeded, DoubleAugment
+from intervalpath.errors import DoubleAugment
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.intervals import build, normalize_endpoints
 from intervalpath.pipeline import run_stages

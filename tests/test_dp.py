@@ -18,13 +18,12 @@ from helpers import (
 )
 from intervalpath.dp import (
     DpTable,
-    XiSet,
-    build_xi,
     max_weight_path,
     reconstruct,
+    split_grid,
     undominated_tails,
 )
-from intervalpath.errors import InvalidSpecialPartition
+from intervalpath.errors import CorruptParentChain, InvalidSpecialPartition
 from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import build
 from intervalpath.oracle import brute_max_weight_path
@@ -84,13 +83,28 @@ def test_table_is_freed_without_the_cyclic_collector():
 def test_reconstruct_replays_chains_longer_than_the_recursion_limit():
     n = 3000
     g = build([(f"v{i}", 2 * i, 2 * i + 3, 1) for i in range(n)])
-    table = DpTable(graph=g, xi=XiSet(xi_of={}, Xi=(0,)))
+    table = DpTable(graph=g, Xi=(0,), W={}, parent={})
     table.W[0, 0, 0] = 1
     table.parent[0, 0, 0] = ("INIT",)
     for v in range(1, n):
         table.W[0, v, v] = v + 1
         table.parent[0, v, v] = ("SELF_APPEND", v - 1, v - 1)
     assert reconstruct(table, (0, n - 1, n - 1)) == [f"v{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "W, parent, message",
+    [
+        ({}, {}, r"no entry for \(0, 1, 0\)"),
+        ({(0, 1, 0): 1}, {(0, 1, 0): ("COPY", 0)}, r"no provenance for \(0, 0, 0\)"),
+        ({(0, 1, 0): 1}, {(0, 1, 0): ("BOGUS",)}, "unknown case 'BOGUS'"),
+    ],
+    ids=["missing-root", "dangling-copy", "unknown-tag"],
+)
+def test_reconstruct_rejects_corrupt_parent_chains(W, parent, message):
+    table = DpTable(graph=build([("x", 0, 2, 1), ("y", 1, 3, 1)]), Xi=(0,), W=W, parent=parent)
+    with pytest.raises(CorruptParentChain, match=message):
+        reconstruct(table, (0, 1, 0))
 
 
 def test_subgraph_contains_boundaries():
@@ -130,40 +144,38 @@ def test_undominated_tails_match_their_definition():
         assert undominated_tails(tails) == want
 
 
-def test_build_xi_split3():
+def dependent_names(sp, dependent):
+    return {nm for nm, dep in zip(sp.graph.names, dependent) if dep}
+
+
+def test_split_grid_split3():
     sp = split3_special()
-    xi = build_xi(sp.graph, sp.A, sp.B)
-    assert xi.xi_of == {"b": 0, "v0": -2}
-    assert xi.Xi == (-2, 0, 1)
+    dependent, Xi = split_grid(sp)
+    assert dependent_names(sp, dependent) == {"b", "v0"}
+    assert Xi == (-2, 0, 1)
 
 
-def test_build_xi_outside_a_keeps_own_left():
+def test_split_grid_outside_a_keeps_own_left():
     sp = special_of([("a1", 0, 2, 2), ("b", 3, 10, 1)], ["a1"])
-    xi = build_xi(sp.graph, sp.A, sp.B)
-    assert xi.xi_of == {"b": 3, "v0": -2}
-    assert xi.Xi == (-2, 3)
+    dependent, Xi = split_grid(sp)
+    assert dependent_names(sp, dependent) == {"b", "v0"}
+    assert Xi == (-2, 3)
 
 
 def test_xi_size_bound_random():
-    lcg = Lcg(99)
-    for _ in range(40):
-        sp = random_special(lcg)
-        xi = build_xi(sp.graph, sp.A, sp.B)
-        assert len(xi.Xi) <= 2 * len(sp.B)
-        for nm in sp.B:
-            v = sp.graph.by_name(nm)
-            covering = [
-                a
-                for a in sp.A
-                if sp.graph.left[sp.graph.by_name(a)]
-                < sp.graph.left[v]
-                < sp.graph.right[sp.graph.by_name(a)]
-            ]
-            if covering:
-                assert len(covering) == 1
-                assert xi.xi_of[nm] == sp.graph.left[sp.graph.by_name(covering[0])]
-            else:
-                assert xi.xi_of[nm] == sp.graph.left[v]
+    """Xi is its definition: each dependent vertex's left end, plus the left
+    end of the independent interval covering it, if any."""
+    for sp in golden_specials():
+        g = sp.graph
+        dependent, Xi = split_grid(sp)
+        assert dependent_names(sp, dependent) == sp.B
+        want = set()
+        for v in map(g.by_name, sp.B):
+            covering = [a for a in map(g.by_name, sp.A) if g.left[a] < g.left[v] < g.right[a]]
+            assert len(covering) <= 1
+            want.update(g.left[u] for u in [v, *covering])
+        assert Xi == tuple(sorted(want))
+        assert len(Xi) <= 2 * len(sp.B)
 
 
 def test_pi_table_matches_definition():
@@ -291,7 +303,7 @@ def test_every_table_entry_reconstructs_to_an_optimal_normal_path():
             if val is None:
                 continue
             pos, vi, y = key
-            xi_coord = table.xi.Xi[pos]
+            xi_coord = table.Xi[pos]
             p = reconstruct(table, key)
             assert is_normal_path(g, p)
             assert p[-1] == g.names[y]
@@ -314,35 +326,40 @@ def test_every_table_entry_reconstructs_to_an_optimal_normal_path():
             assert best == val
 
 
+def leg_stand_ins(table):
+    """{(v, y): stand-in} over the leg columns: sweeping v reads the column
+    of that stand-in for y, and only that one."""
+    return {key: p for key, p in table.parent._pcols.items() if key[0] != key[1]}
+
+
 def test_reads_never_touch_later_vertices():
     lcg = Lcg(77)
     saw_any = False
     for _ in range(20):
-        sp = random_special(lcg)
-        reads = []
-        res = max_weight_path(sp, trace_reads=reads)
-        rank = res.table.graph.rank
-        saw_any = saw_any or bool(reads)
-        for reader, written in reads:
+        table = max_weight_path(random_special(lcg)).table
+        rank = table.graph.rank
+        stand = leg_stand_ins(table)
+        saw_any = saw_any or bool(stand)
+        for (reader, _), written in stand.items():
             assert rank[written] < rank[reader]
     assert saw_any
 
 
 def test_reads_are_the_stand_ins_of_earlier_neighbors():
-    lcg = Lcg(77)
-    for _ in range(40):
-        sp = random_special(lcg)
+    """Every earlier neighbor y of v has a column (v, y), and its stand-in
+    is pi(y, v), which ranks below v."""
+    for sp in golden_specials():
         g = sp.graph
         pit = PiTable(g, {g.by_name(nm) for nm in sp.B})
-        want = [
-            (vi, pit.lookup(y, vi))
+        want = {
+            (vi, y): pit.lookup(y, vi)
             for vi in g.sigma
             for y in g.neighbors(vi)
             if g.rank[y] < g.rank[vi]
-        ]
-        reads = []
-        max_weight_path(sp, trace_reads=reads)
-        assert reads == want
+        }
+        stand = leg_stand_ins(max_weight_path(sp).table)
+        assert stand == want
+        assert all(g.rank[p] < g.rank[vi] for (vi, _), p in stand.items())
 
 
 def test_dp_builds_no_neighbor_lists():
@@ -370,14 +387,12 @@ def golden_specials():
 
 def test_dp_tables_equal_the_reference():
     for sp in golden_specials():
-        got_reads, want_reads = [], []
-        got = max_weight_path(sp, trace_reads=got_reads)
-        want = reference_max_weight_path(sp, trace_reads=want_reads)
+        got = max_weight_path(sp)
+        want = reference_max_weight_path(sp)
         assert got.table.W == want.table.W
         assert got.table.parent == want.table.parent
         assert got.weight == want.weight
         assert got.path == want.path
-        assert got_reads == want_reads
 
 
 def test_dp_columns_have_no_holes():

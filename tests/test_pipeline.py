@@ -77,7 +77,7 @@ def test_dp_starts_from_the_low_sentinel(fixture, request):
     g = st.special.graph
     assert table.graph is g
     assert st.special.v0 == st.widened.names[st.deletion.dummies[0]]
-    assert table.xi.Xi[0] == g.left[g.by_name(st.special.v0)]
+    assert table.Xi[0] == g.left[g.by_name(st.special.v0)]
 
 
 def test_rejects_weighted_input():

@@ -15,9 +15,9 @@ from helpers import (
 )
 from intervalpath.claws import approx_deletion_set, prune_deletion_set
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.intervals import build, nesting, normalize_endpoints
+from intervalpath.intervals import build, nesting, normalize_endpoints, span_extremes
 from intervalpath.pipeline import longest_path
-from intervalpath.semiproper import _extremes, make_semi_proper
+from intervalpath.semiproper import make_semi_proper
 
 
 def edge_set(g):
@@ -154,9 +154,10 @@ def _assert_extremes_match_the_sweeps(g):
     order, pos = g.endpoint_order(), g.endpoint_positions()
     z1 = _latest_opened(reversed(order), 1, g.n)
     z2 = _latest_opened(order, 0, g.n)
+    alive = [True] * g.n
     for u, nests in enumerate(nesting(order, pos)):
         if nests:
-            assert _extremes(order, pos, u) == (z1[u], z2[u])
+            assert span_extremes(order, pos, u, alive) == (z1[u], z2[u])
 
 
 def test_center_extremes_match_the_full_order_sweeps():
