@@ -130,6 +130,24 @@ MUTANTS = [
         "{*comps[:1], *comps[-1:]}",
     ),
     (
+        "rule 2: clone lefts in reverse order",
+        RULE2,
+        "= [2 * c for c in ids]",
+        "= [2 * c for c in reversed(ids)]",
+    ),
+    (
+        "rule 2: clone rights in reverse order",
+        RULE2,
+        "= [2 * c + 1 for c in ids]",
+        "= [2 * c + 1 for c in reversed(ids)]",
+    ),
+    (
+        "rule 2: clones take the weight of one member",
+        RULE2,
+        "exact_weight(sum(map(weight.__getitem__, idx)), count)",
+        "weight[idx[0]]",
+    ),
+    (
         "rule 1: waterline never rises",
         RULE1,
         "        if last >= 0:\n            waterline = max(waterline, right[last])\n",

@@ -4,12 +4,11 @@ Coordinates are integers at every stage. Only their order matters, so a
 transformation works on the endpoint order, a list of tokens 2v (the left
 end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
 token at position p on coordinate p + 1. Every graph is made with its
-endpoint order and reads its right-endpoint order off it. Three sorts
+endpoint order and reads its right-endpoint order off it. Two sorts
 remain in a solve: ``build`` or ``parse_intervals`` sorts the 2n endpoints
-of each input once, and rule 1 and rule 2 each sort the endpoints of the
-new graph they make.
-Normalizing, making the representation semi-proper and adding the
-sentinels reuse or extend an order they are given. All 2n endpoints of a
+of each input once, and rule 1 sorts the endpoints of the graph it makes.
+Normalizing, making the representation semi-proper, adding the sentinels
+and rule 2 reuse or extend an order they are given. All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment
 reduce to strict coordinate comparisons and the right-endpoint order is
 unambiguous.

@@ -6,32 +6,25 @@ intervals of every cell. Surviving free vertices are binned by which T-gap
 holds their left and which holds their right endpoint; each nonempty bin is
 swapped for min(bin size, deletion size + 4) copies of its span, the bin's
 weight split evenly among them (an int share, or a Fraction only when the
-split is uneven). Copies are staircased inside the two outermost coordinate
-gaps of the span so they pairwise overlap, contain nothing, and keep exactly
-the span's adjacency to the rest of the graph.
+split is uneven). Copies are staircased at the two ends of the span so they
+pairwise overlap, contain nothing, and keep exactly the span's adjacency to
+the rest of the graph.
 
-Coordinates stay integers: the reduced graph's endpoints are first scaled
-by 2n + 2, so every gap between them is empty and 2n + 2 wide. Copy j of a
-bin with c copies goes to [span left + j, span right - c - 1 + j]. A gap then
-holds at most the copy lefts of the bin whose span starts at its lower end
-and the copy rights of the bin whose span ends at its upper end (one bin
-when both ends are its own), at most n of each, so they never meet.
+Only the endpoint order matters, so the swap is one pass over the reduced
+graph's endpoint order. The members leave; the copy lefts go, in copy
+order, where the span's left end was, and the copy rights, in copy order,
+where its right end was. Both ends belong to members, and no two bins share
+one, so nothing else lands between a span's end and its copies.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from math import comb
 
-from .intervals import (
-    IntervalGraph,
-    build,
-    exact_weight,
-    fresh_name,
-    from_endpoint_order,
-    token_order,
-)
+from .intervals import IntervalGraph, exact_weight, fresh_name, from_endpoint_order
 from .reduce1 import Stage1Result
 
 
@@ -53,7 +46,6 @@ class CloneGroup:
     key: tuple
     members: tuple
     clones: tuple
-    records: tuple
 
 
 @dataclass(frozen=True)
@@ -101,64 +93,55 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
     return Stage2Families(T=tuple(t_sorted), Uji=uji)
 
 
-def _spread_records(g: IntervalGraph) -> tuple:
-    """The gap width 2n + 2 and ``g``'s records with coordinates scaled by it."""
-    step = 2 * g.n + 2
-    return step, [(nm, l * step, r * step, w) for nm, l, r, w in g.records()]
-
-
-def _place_clones(span_l: int, span_r: int, weight, names) -> list:
-    """Staircase one copy of the span per name inside its outermost gaps."""
-    count = len(names)
-    return [
-        (name, span_l + j, span_r - count - 1 + j, weight)
-        for j, name in enumerate(names, 1)
-    ]
+def _swap_groups(g: IntervalGraph, groups) -> IntervalGraph:
+    """``g`` with every group's members swapped for its clones, made in one
+    pass over ``g``'s endpoint order. Survivors keep their order and come
+    first; the clones follow, group by group."""
+    left, right, weight = g.left, g.right, g.weight
+    spans = [list(map(g.index.__getitem__, grp.members)) for grp in groups]
+    alive = [True] * g.n
+    for idx in spans:
+        for v in idx:
+            alive[v] = False
+    keep = list(compress(range(g.n), alive))
+    new = [-1] * g.n
+    for i, v in enumerate(keep):
+        new[v] = i
+    names = [g.names[v] for v in keep]
+    weights = [weight[v] for v in keep]
+    at = {}  # a member's token -> the clone tokens that take its place
+    for grp, idx in zip(groups, spans):
+        count = len(grp.clones)
+        ids = range(len(names), len(names) + count)
+        names.extend(grp.clones)
+        share = exact_weight(sum(map(weight.__getitem__, idx)), count)
+        weights.extend([share] * count)
+        at[2 * min(idx, key=left.__getitem__)] = [2 * c for c in ids]
+        at[2 * max(idx, key=right.__getitem__) + 1] = [2 * c + 1 for c in ids]
+    order = []
+    for t in g.endpoint_order():
+        v = t >> 1
+        if alive[v]:
+            order.append(2 * new[v] + (t & 1))
+        elif t in at:
+            order.extend(at[t])
+    return from_endpoint_order(names, order, weights)
 
 
 def apply_rule2(
     stage1: Stage1Result, families: Stage2Families, deletion
 ) -> SpecialWeightedIntervalGraph:
-    """Swap each bin for its clone clique, then renumber endpoints."""
+    """Name each bin's clones, then swap every bin for them (``_swap_groups``)."""
     g = stage1.g_sharp
     cap = len(deletion.marked) + 4
-    step, records = _spread_records(g)
-    taken = {rec[0] for rec in records}
-    absorbed = set()
-    clones = []
     groups = []
     for gi, key in enumerate(sorted(families.Uji), 1):
         members = families.Uji[key]
-        idx = [g.by_name(nm) for nm in members]
-        span_l = min(g.left[v] for v in idx) * step
-        span_r = max(g.right[v] for v in idx) * step
-        total = sum(g.weight[v] for v in idx)
         count = min(len(members), cap)
-        absorbed.update(members)
-        names = []
-        for j in range(1, count + 1):
-            nm = fresh_name(f"c{gi}_{j}", taken)
-            taken.add(nm)
-            names.append(nm)
-        clone_recs = _place_clones(span_l, span_r, exact_weight(total, count), names)
-        clones.extend(clone_recs)
-        groups.append(
-            CloneGroup(
-                key=key,
-                members=members,
-                clones=tuple(names),
-                records=tuple(clone_recs),
-            )
-        )
-
-    records = [rec for rec in records if rec[0] not in absorbed] + clones
-    lefts = [rec[1] for rec in records]
-    rights = [rec[2] for rec in records]
-    hat = from_endpoint_order(
-        [rec[0] for rec in records],
-        token_order(lefts, rights),
-        [rec[3] for rec in records],
-    )
+        # the bases differ in their digits, so only the graph's names can clash
+        clones = tuple(fresh_name(f"c{gi}_{j}", g.index) for j in range(1, count + 1))
+        groups.append(CloneGroup(key=key, members=members, clones=clones))
+    hat = _swap_groups(g, groups)
     k = len(deletion.marked) - 2
     kappa = (k + 2) + comb(18 * k + 16, 2) * (k + 6)
     return SpecialWeightedIntervalGraph(
@@ -173,16 +156,7 @@ def apply_rule2(
 
 
 def intermediate_graphs(special: SpecialWeightedIntervalGraph) -> list:
-    """Replay the group swaps, returning graphs before each swap plus the last.
-
-    Element t is the graph with the first t groups applied; the final element
-    is adjacency-identical to ``special.graph`` up to endpoint renumbering.
-    """
-    _, records = _spread_records(special.g_sharp)
-    out = [special.g_sharp]
-    for grp in special.groups:
-        absorbed = set(grp.members)
-        records = [rec for rec in records if rec[0] not in absorbed]
-        records.extend(grp.records)
-        out.append(build(records))
-    return out
+    """Replay the group swaps: element t is G# with the first t groups
+    swapped, so the last element is ``special.graph``."""
+    groups = special.groups
+    return [_swap_groups(special.g_sharp, groups[:t]) for t in range(len(groups) + 1)]

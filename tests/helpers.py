@@ -8,7 +8,14 @@ from pathlib import Path
 from intervalpath.claws import ClawWitness, DeletionSet, _claw_leaves
 from intervalpath.dp import DpResult, DpTable, reconstruct, split_grid
 from intervalpath.errors import EmptySet, IntervalError, InvalidPath
-from intervalpath.intervals import IntervalGraph, build, token_order
+from intervalpath.intervals import (
+    IntervalGraph,
+    build,
+    exact_weight,
+    fresh_name,
+    from_endpoint_order,
+    token_order,
+)
 from intervalpath.matching import SimpleGraph, simple_graph
 from intervalpath.paths import _to_indices
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
@@ -684,6 +691,61 @@ def reference_semi_proper(graph):
     return build(
         (graph.names[v], left[v] // step, right[v] // step, graph.weight[v])
         for v in range(n)
+    )
+
+
+# Rule 2's swap as it was before it moved onto the endpoint order, kept
+# verbatim (apart from the names) as a test-only reference: G#'s coordinates
+# scaled by 2n + 2, clones staircased inside the span's outermost gaps, and
+# the endpoints sorted again.
+
+
+def reference_spread_records(g: IntervalGraph) -> tuple:
+    """The gap width 2n + 2 and ``g``'s records with coordinates scaled by it."""
+    step = 2 * g.n + 2
+    return step, [(nm, l * step, r * step, w) for nm, l, r, w in g.records()]
+
+
+def reference_place_clones(span_l: int, span_r: int, weight, names) -> list:
+    """Staircase one copy of the span per name inside its outermost gaps."""
+    count = len(names)
+    return [
+        (name, span_l + j, span_r - count - 1 + j, weight)
+        for j, name in enumerate(names, 1)
+    ]
+
+
+def reference_rule2_graph(stage1, families, deletion) -> IntervalGraph:
+    """The special graph of ``apply_rule2``, built on scaled coordinates."""
+    g = stage1.g_sharp
+    cap = len(deletion.marked) + 4
+    step, records = reference_spread_records(g)
+    taken = {rec[0] for rec in records}
+    absorbed = set()
+    clones = []
+    for gi, key in enumerate(sorted(families.Uji), 1):
+        members = families.Uji[key]
+        idx = [g.by_name(nm) for nm in members]
+        span_l = min(g.left[v] for v in idx) * step
+        span_r = max(g.right[v] for v in idx) * step
+        total = sum(g.weight[v] for v in idx)
+        count = min(len(members), cap)
+        absorbed.update(members)
+        names = []
+        for j in range(1, count + 1):
+            nm = fresh_name(f"c{gi}_{j}", taken)
+            taken.add(nm)
+            names.append(nm)
+        clone_recs = reference_place_clones(span_l, span_r, exact_weight(total, count), names)
+        clones.extend(clone_recs)
+
+    records = [rec for rec in records if rec[0] not in absorbed] + clones
+    lefts = [rec[1] for rec in records]
+    rights = [rec[2] for rec in records]
+    return from_endpoint_order(
+        [rec[0] for rec in records],
+        token_order(lefts, rights),
+        [rec[3] for rec in records],
     )
 
 

@@ -274,3 +274,14 @@ def test_parse_matches_build_on_generated_graphs(seed, n, weighted):
 def test_fresh_name_avoids_taken():
     assert fresh_name("a1", {"a1", "a1_2"}) not in {"a1", "a1_2"}
     assert fresh_name("z", set()) == "z"
+
+
+def test_build_rejects_a_negative_weight():
+    with pytest.raises(ValueError) as err:
+        build([("a", 0, 1, -1)])
+    assert str(err.value) == "negative weight for 'a'"
+
+
+def test_format_needs_integer_endpoints():
+    with pytest.raises(ValueError, match="serialization needs integer endpoints"):
+        format_intervals(build([("a", 0.5, 1)]))

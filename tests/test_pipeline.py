@@ -267,8 +267,8 @@ def test_front_end_builds_one_adjacency(make, monkeypatch):
 
 def test_each_input_is_sorted_once(monkeypatch):
     """``build`` sorts the input's endpoints once, and the solve reuses that
-    order; rule 1 and rule 2 bind their own ``token_order``, so the counter
-    sees only the front end. The sentinels extend the semi-proper order."""
+    order; rule 1 binds its own ``token_order``, so the counter sees only
+    the front end. The sentinels extend the semi-proper order."""
     records = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)).records()
     calls = []
     real = intervals.token_order

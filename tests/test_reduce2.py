@@ -6,8 +6,10 @@ import pytest
 from helpers import (
     assert_valid_representation,
     crafted_special,
+    heavy_tailed,
     is_weakly_reducible,
     named,
+    reference_rule2_graph,
     small_combs,
     total_weight,
 )
@@ -17,7 +19,7 @@ from intervalpath.intervals import build, normalize_endpoints
 from intervalpath.oracle import brute_max_weight_path
 from intervalpath.pipeline import run_stages
 from intervalpath.reduce1 import apply_rule1, compute_stage1_families
-from intervalpath.reduce2 import compute_stage2_families, intermediate_graphs
+from intervalpath.reduce2 import apply_rule2, compute_stage2_families, intermediate_graphs
 
 
 def kappa_bound(k):
@@ -153,6 +155,11 @@ def test_group_weight_totals_preserved():
     )
 
 
+def assert_same_graph(got, want):
+    assert got.records() == want.records()
+    assert got.endpoint_order() == want.endpoint_order()
+
+
 def test_intermediate_graphs_replay():
     _, _, stage1, special = crafted_special()
     chain = intermediate_graphs(special)
@@ -160,6 +167,80 @@ def test_intermediate_graphs_replay():
     assert chain[0].records() == stage1.g_sharp.records()
     assert sorted(chain[-1].names) == sorted(special.graph.names)
     assert named_edges(chain[-1]) == named_edges(special.graph)
+    assert_replay_is_exact(special)
+
+
+def assert_replay_is_exact(special):
+    """Element t of the replay holds G# with exactly the first t groups
+    swapped, and the last element is the special graph itself."""
+    chain = intermediate_graphs(special)
+    assert len(chain) == len(special.groups) + 1
+    for t, graph in enumerate(chain):
+        swapped = special.groups[:t]
+        want = set(special.g_sharp.names)
+        want -= {nm for grp in swapped for nm in grp.members}
+        want |= {nm for grp in swapped for nm in grp.clones}
+        assert set(graph.names) == want
+        assert_valid_representation(graph)
+    assert_same_graph(chain[-1], special.graph)
+
+
+def swap_case(kind, i):
+    if kind == "random":
+        return generate(GeneratorSpec(kind="random", n=3 * i, seed=i))
+    if kind == "heavy":
+        return heavy_tailed(6 + i % 30, i)
+    return small_combs(4)[i]
+
+
+@pytest.mark.parametrize(
+    "kind, i",
+    [
+        *(("random", i) for i in range(1, 21)),
+        *(("heavy", i) for i in range(0, 200, 10)),
+        *(("comb", i) for i in range(4)),
+    ],
+)
+def test_swap_matches_the_scaled_reference(kind, i):
+    """Random graphs with n <= 60, heavy-tailed ones and combs."""
+    st = run_stages(swap_case(kind, i))
+    fam = compute_stage2_families(st.stage1, st.deletion)
+    assert_same_graph(st.special.graph, reference_rule2_graph(st.stage1, fam, st.deletion))
+    assert_replay_is_exact(st.special)
+
+
+def test_crafted_swap_matches_the_scaled_reference():
+    _, deletion, stage1, special = crafted_special()
+    fam = compute_stage2_families(stage1, deletion)
+    assert_same_graph(special.graph, reference_rule2_graph(stage1, fam, deletion))
+
+
+def test_swap_of_bins_interleaved_in_one_gap():
+    """The x bin ends in the gap between dm1 and dm2 where the y bin starts,
+    their endpoints alternating there: x rights 100, 102, .., y lefts 101,
+    103, .. . Each bin keeps its five members as clones, and every x clone
+    meets every y clone."""
+    records = [("d0", 0, 1, 0), ("dm1", 40, 41, 1), ("dm2", 150, 151, 1), ("d1", 200, 201, 0)]
+    records += [(f"x{j}", 20 + j, 100 + 2 * j, 1) for j in range(5)]
+    records += [(f"y{j}", 101 + 2 * j, 160 + j, 1) for j in range(5)]
+    g = build(records)
+    deletion = DeletionSet(
+        marked=frozenset(map(g.by_name, ["d0", "dm1", "dm2", "d1"])),
+        certificates=(),
+        dummies=(g.by_name("d0"), g.by_name("d1")),
+    )
+    stage1 = apply_rule1(g, compute_stage1_families(g, deletion))
+    fam = compute_stage2_families(stage1, deletion)
+    special = apply_rule2(stage1, fam, deletion)
+    assert sorted(sorted(grp.members) for grp in special.groups) == [
+        [f"x{j}" for j in range(5)],
+        [f"y{j}" for j in range(5)],
+    ]
+    assert_same_graph(special.graph, reference_rule2_graph(stage1, fam, deletion))
+    assert_replay_is_exact(special)
+    gg = special.graph
+    xs, ys = ([gg.by_name(c) for c in grp.clones] for grp in special.groups)
+    assert all(gg.adjacent(a, b) for a in xs for b in ys)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -190,9 +271,6 @@ def test_stage2_invariants_random(seed):
         assert int_coords(graph.records())
     for graph in (st.widened, stage1.g_sharp, special.graph):
         assert exact_weights(graph.records())
-    for grp in special.groups:
-        assert int_coords(grp.records)
-        assert exact_weights(grp.records)
     # derived graphs skip build's checks, so their invariants are asserted here
     for graph in (st.semi, st.widened, stage1.g_sharp, special.graph):
         assert_valid_representation(graph)
