@@ -41,31 +41,31 @@ SEMI = "src/intervalpath/semiproper.py"
 # (name, file, old text, new text)
 MUTANTS = [
     (
-        "prune: keep tails with cut 0",
+        "split points: the last ζ of each cut instead of the first",
         DP,
-        "        if cut == 0:\n            break\n",
+        "            points.append((c, z))\n            cut = c\n",
+        "            points.append((c, z))\n            cut = c\n"
+        "        elif c:\n            points[-1] = (c, z)\n",
+    ),
+    (
+        "floor: neg = -1",
+        DP,
+        "neg = -1 - sum(wt)",
+        "neg = -1",
+    ),
+    (
+        "copied rows: a repeated row does not write its wins again",
+        DP,
+        "                for col, won, best, par in wrote:\n"
+        "                    col[pos] = best\n"
+        "                    won[pos] = par\n",
         "",
     ),
     (
-        "prune: keep tails below a strictly larger later tail",
+        "copied rows: a repeated row copies its value but not its parent",
         DP,
-        "        if top is not None and tail < top:\n            continue\n",
+        "                opar[pos] = opar[pos - 1]\n",
         "",
-    ),
-    (
-        "prune: keep later tails with the same cut",
-        DP,
-        "        if kept and kept[-1][0] == cut:\n"
-        "            kept[-1] = entry\n"
-        "        else:\n"
-        "            kept.append(entry)\n",
-        "        kept.append(entry)\n",
-    ),
-    (
-        "prune: drop a tail equal to one at a larger cut",
-        DP,
-        "if top is not None and tail < top:",
-        "if top is not None and tail <= top:",
     ),
     (
         "split tie: equal leg end moves to the higher ζ",
@@ -76,8 +76,8 @@ MUTANTS = [
     (
         "sharing: a nested leg writes into its stand-in's column",
         DP,
-        "cols[key] = src.copy()",
-        "cols[key] = src",
+        "cols[key] = srcs[k].copy()",
+        "cols[key] = srcs[k]",
     ),
     (
         "sharing: a TAIL or SPLIT parent reads as COPY",
@@ -88,8 +88,8 @@ MUTANTS = [
     (
         "sharing: a TAIL that only ties its COPY is written",
         DP,
-        "if got is not None and got + w_pair > best:",
-        "if got is not None and got + w_pair >= best:",
+        "if offer > best:",
+        "if offer >= best:",
     ),
     (
         "split grid: a covered dependent vertex keeps its own left end as ξ",

@@ -47,37 +47,45 @@ is read once per v_i, and every ξ row does flat list work only.
   ending below a coordinate: r_{v_i} (SELF_APPEND, all legs), l_y (TAIL)
   or ζ (SPLIT). Legs are in right-end order, so each query is a prefix of
   them, found by bisection once per v_i; the split tails W[ζ][π(y, v_i), y]
-  for ζ in (l_{v_i}, l_y] are read then too, since they do not depend on ξ.
+  at the split points below are read then too, since they do not depend
+  on ξ.
   The rows of a nested y above l_{v_i} are copies of those same values,
   already in place in the column it shares or copies.
-- One running-max pass per ξ. The pass over the legs fills ``run_v[c]``
-  and ``run_j[c]``, the best value among the first c legs inside ξ and the
-  earliest leg holding it, so every query is a list index. It reads the
-  stand-ins' columns only, so after the pass each nested y's entry and
-  v_i's own entry are decided from run_v and run_j alone.
+- Rows are tuples. The stand-ins' columns are read row by row, as the
+  tuples ``zip_longest(*srcs, fillvalue=neg)`` makes in C: row ξ holds each
+  leg's value at ξ, or ``neg`` past the end of its column, where ξ is
+  above the leg's left end and the leg is dead. One pass over
+  a row fills ``run_v[c]`` and ``run_j[c]``, the best value among the
+  first c legs and the earliest leg holding it, so every query is a list
+  index; each nested y's entry and v_i's own entry are then decided from
+  the row, run_v and run_j alone. Rows stop where the longest leg column
+  does: at a higher ξ no leg lies inside ξ, so v_i's own entry is INIT,
+  the value its column starts with.
+- The floor is exact. ``neg = -1 - sum(weights)`` is below every path
+  weight, and so is neg plus any sum of weights, so an offer built on a
+  dead leg or on an empty cut never wins, not even a tie, and neg is never
+  stored. It is an int whenever the weights are: comparing ints with
+  ``float('-inf')`` is slower.
+- Repeated rows are copied. Columns do not increase with ξ, so equal rows
+  come in runs, and a row equal to the one before it has the same
+  outcome: v_i's own entry and parent are copied from the slot below, and
+  the TAIL and SPLIT wins of that row are written again.
 
-Dominated split tails are dropped once per v_i, by ``undominated_tails``.
-A split at ζ offers run_v[c] + t, where c is the cut below ζ and t the tail
-from ζ. Cuts do not decrease with ζ, and run_v and run_j do not decrease
-with c: run_j moves only when run_v strictly grows. A tail is dropped when
-
-- its cut is 0: no leg ends below ζ, so it offers nothing in any row;
-- a later ζ has a strictly larger tail: that one's cut is no smaller, so
-  its offer is strictly heavier whenever this one offers anything;
-- an earlier ζ with the same cut has a tail at least as large: both read
-  the same run_v and run_j, so this one at best ties on value and leg end,
-  and the earlier ζ wins that tie.
-
-A tail cannot grow with ζ, since a higher ζ leaves fewer vertices, so the
-second rule never fires on a table the DP built; it is what lets a kept
-tail replace one with the same cut without comparing the two.
-
-None of these tails can be the winning split of any row, and each is only
-ever compared against the winner, so dropping them leaves every value and
-every parent as it was: the tie rule (lowest leg-end rank, then lowest ζ)
-picks among the same heaviest offers. A tail equal to a later one with a
-larger cut must stay. Where run_v is equal at both cuts, so is run_j, the
-two offers tie on value and leg end, and the earlier ζ is the parent.
+Split points are built once per v_i, by ``split_points``, and only if v_i
+has a nested leg. A split at ζ offers run_v[c] + t, where c is the cut
+below ζ and t the tail from ζ. Cuts do not decrease with ζ, and run_v and
+run_j do not decrease with c: run_j moves only when run_v strictly grows.
+A tail cannot grow with ζ, since a higher ζ leaves fewer vertices. So of
+the ζ that share a cut, the lowest has a tail at least as large; it reads
+the same run_v and run_j and wins their tie, so no other ζ of that cut
+can be the winning split of any row. A cut of 0 offers nothing. What is
+left, the lowest ζ of each nonzero cut, depends on v_i alone: a nested
+leg y takes the prefix of it below ``ends[y]``, found by one bisection.
+Each tail is only ever compared against the winner, so leaving the others
+out leaves every value and every parent as it was: the tie rule (lowest
+leg-end rank, then lowest ζ) picks among the same heaviest offers. A tail
+equal to a later one with a larger cut stays: where run_v is equal at
+both cuts, so is run_j, and the earlier ζ is the parent.
 
 The answer is read at the lowest ξ, the left end of the start vertex v0: a
 zero-weight dependent vertex that ends before every other interval begins,
@@ -90,6 +98,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import CorruptParentChain, InvalidSpecialPartition
 from .intervals import IntervalGraph
@@ -213,30 +222,22 @@ def split_grid(special: SpecialWeightedIntervalGraph) -> tuple:
     return dependent, tuple(sorted(coords))
 
 
-def undominated_tails(tails: list) -> list:
-    """The split tails of one nested leg that can still win a row.
+def split_points(xs_sorted, rights, lo: int, hi: int, zlo: int, ztop: int) -> list:
+    """(cut, ζ position) for the lowest ζ of each nonzero cut, by increasing ζ.
 
-    ``tails`` holds (cut, tail, ζ position) triples by increasing ζ, so the
-    cuts do not decrease. Walking down from the highest ζ, a tail is dropped
-    when its cut is 0 (and so is every tail below it), or when a later ζ has
-    a strictly larger tail; a kept tail replaces the one kept just before it
-    if both have the same cut. The result is again by increasing ζ.
+    The legs are ``rights[lo:hi]``, by right end, and the cut at a ζ position
+    z in ``range(zlo, ztop)`` is the number of legs ending below
+    ``xs_sorted[z]``. These are the split points that can win a row, for
+    every nested leg alike (see the module notes).
     """
-    kept = []
-    top = None  # the largest tail at a higher ζ
-    for entry in reversed(tails):
-        cut, tail, _ = entry
-        if cut == 0:
-            break
-        if top is not None and tail < top:
-            continue
-        top = tail
-        if kept and kept[-1][0] == cut:
-            kept[-1] = entry
-        else:
-            kept.append(entry)
-    kept.reverse()
-    return kept
+    points = []
+    cut = 0
+    for z in range(zlo, ztop):
+        c = bisect_left(rights, xs_sorted[z], lo, hi) - lo
+        if c > cut:
+            points.append((c, z))
+            cut = c
+    return points
 
 
 def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
@@ -254,6 +255,9 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     # overlaps y from above, or y itself
     last_b = list(range(g.n))
 
+    # below every path weight, even with any sum of weights added
+    neg = -1 - sum(wt)
+
     for i, vi in enumerate(sigma):
         l_vi = left[vi]
         w_vi = wt[vi]
@@ -265,16 +269,14 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
         if dependent[vi]:
             for y in earlier:
                 last_b[y] = vi
-        # cut c stands for the first c legs; zcut[ζ - zlo] are the legs ending below ζ
-        ztop = bisect_right(xs_sorted, max(map(left.__getitem__, earlier), default=l_vi))
-        zcut = [bisect_left(rights, xs_sorted[z], lo, i) - lo for z in range(zlo, ztop)]
         # srcs[k] is the k-th leg's stand-in column, and v_i's column for that
         # leg is the same list. A nested leg y, the only kind a TAIL or SPLIT
-        # can win, gets an entry (key (v_i, y), p, its stand-in column, cut
-        # below l_y, w_vi + w_y, split tails) in nested.
+        # can win, gets an entry (key (v_i, y), k, cut below l_y, w_vi + w_y,
+        # split tails) in nested; cut c stands for the first c legs.
         srcs = []
         nested = []
-        for y, p in zip(earlier, stand):
+        points = None
+        for k, (y, p) in enumerate(zip(earlier, stand)):
             key = (vi, y)
             src = cols[p, y]
             srcs.append(src)
@@ -282,58 +284,72 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
             cols[key] = src
             if left[y] < l_vi:
                 continue
+            if points is None:
+                ztop = max(map(ends.__getitem__, earlier))
+                points = split_points(xs_sorted, rights, lo, i, zlo, ztop)
+                zs = [z for _, z in points]
             tcut = bisect_left(rights, left[y], lo, i) - lo
             # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
-            tails = undominated_tails(
-                [(zcut[z - zlo], w_vi + src[z], z) for z in range(zlo, ends[y])]
-            )
-            nested.append((key, p, src, tcut, w_vi + wt[y], tails))
+            tails = [(c, w_vi + src[z], z) for c, z in points[: bisect_left(zs, ends[y])]]
+            nested.append((key, k, tcut, w_vi + wt[y], tails))
 
         # run_v[c], run_j[c]: the best leg value among the first c legs inside
-        # ξ and the earliest leg holding it; refilled by every row
-        run_v = [None] * (len(srcs) + 1)
+        # ξ and the earliest leg holding it; refilled by every new row
+        run_v = [neg] * (len(srcs) + 1)
         run_j = [0] * (len(srcs) + 1)
-        own = cols[vi, vi] = [None] * zlo
-        opar = pcols[vi, vi] = [None] * zlo
-        for pos in range(zlo):
-            bv = None
+        # INIT in every slot, the outcome of a row in which every leg is dead
+        own = cols[vi, vi] = [w_vi] * zlo
+        opar = pcols[vi, vi] = [("INIT",)] * zlo
+        prev = None
+        # row pos: each leg's stand-in value at ξ position pos, neg where the
+        # leg is dead; there are no rows past the longest column
+        for pos, row in zip(range(zlo), zip_longest(*srcs, fillvalue=neg)):
+            if row == prev:
+                # the same row has the same outcome
+                own[pos] = own[pos - 1]
+                opar[pos] = opar[pos - 1]
+                for col, won, best, par in wrote:
+                    col[pos] = best
+                    won[pos] = par
+                continue
+            prev = row
+            bv = neg
             bj = 0
-            for k, src in enumerate(srcs, 1):
-                if pos < len(src):
-                    val = src[pos]
-                    if bv is None or val > bv:
-                        bv, bj = val, k - 1
+            for k, val in enumerate(row, 1):
+                if val > bv:
+                    bv, bj = val, k - 1
                 run_v[k] = bv
                 run_j[k] = bj
 
-            for key, p, src, tcut, w_pair, tails in nested:
-                best = src[pos]
+            # (column, wins, value, parent) of each TAIL or SPLIT this row wrote
+            wrote = []
+            for key, k, tcut, w_pair, tails in nested:
+                best = row[k]
                 par = None
-                got = run_v[tcut]
-                if got is not None and got + w_pair > best:
+                offer = run_v[tcut] + w_pair
+                if offer > best:
                     j = run_j[tcut]
-                    best, par = got + w_pair, ("TAIL", earlier[j], stand[j])
+                    best, par = offer, ("TAIL", earlier[j], stand[j])
                 sj = -1  # the winning split's leg; no split wins yet
                 for cut, tail, zpos in tails:
-                    got = run_v[cut]
-                    if got is None:
-                        continue
-                    cand = got + tail
+                    cand = run_v[cut] + tail
                     if cand > best or (cand == best and run_j[cut] < sj):
                         best, sj, sz = cand, run_j[cut], zpos
                 if sj >= 0:
-                    par = ("SPLIT", earlier[sj], stand[sj], sz, p)
+                    par = ("SPLIT", earlier[sj], stand[sj], sz, stand[k])
                 if par is not None:
                     won = wins.get(key)
                     if won is None:
                         # the first win: the column stops being the stand-in's
-                        cols[key] = src.copy()
+                        cols[key] = srcs[k].copy()
                         won = wins[key] = {}
-                    cols[key][pos] = best
+                    col = cols[key]
+                    col[pos] = best
                     won[pos] = par
+                    wrote.append((col, won, best, par))
 
             best, par = w_vi, ("INIT",)
-            if bv is not None and bv + w_vi > best:
+            if bv + w_vi > best:
                 best, par = bv + w_vi, ("SELF_APPEND", earlier[bj], stand[bj])
             own[pos] = best
             opar[pos] = par

@@ -546,6 +546,32 @@ def reference_max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult
     return DpResult(weight=weight, path=path, table=table)
 
 
+def undominated_tails(tails: list) -> list:
+    """The split tails of one nested leg that can still win a row.
+
+    ``tails`` holds (cut, tail, ζ position) triples by increasing ζ, so the
+    cuts do not decrease. Walking down from the highest ζ, a tail is dropped
+    when its cut is 0 (and so is every tail below it), or when a later ζ has
+    a strictly larger tail; a kept tail replaces the one kept just before it
+    if both have the same cut. The result is again by increasing ζ.
+    """
+    kept = []
+    top = None  # the largest tail at a higher ζ
+    for entry in reversed(tails):
+        cut, tail, _ = entry
+        if cut == 0:
+            break
+        if top is not None and tail < top:
+            continue
+        top = tail
+        if kept and kept[-1][0] == cut:
+            kept[-1] = entry
+        else:
+            kept.append(entry)
+    kept.reverse()
+    return kept
+
+
 def small_combs(count):
     """``count`` combs of 3..5 blocks from ``bench/comb.make_comb``, imported
     from the benchmark's directory rather than copied, as graphs."""

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,14 @@ from helpers import (
     split3_special,
     subgraph_contains,
     total_weight,
+    undominated_tails,
 )
 from intervalpath.dp import (
     DpTable,
     max_weight_path,
     reconstruct,
     split_grid,
-    undominated_tails,
+    split_points,
 )
 from intervalpath.errors import CorruptParentChain, InvalidSpecialPartition
 from intervalpath.generators import GeneratorSpec, Lcg, generate
@@ -423,6 +425,81 @@ def test_copy_columns_share_their_stand_in():
                 saw_write = True
                 assert table.W[pos, p, y] < col[pos]
     assert saw_shared and saw_write
+
+
+def test_split_points_are_the_undominated_tails():
+    """For every sweep vertex and nested leg y, the split points below l_y,
+    with y's tails, are what ``undominated_tails`` keeps of all its tails."""
+    saw = False
+    for sp in [*golden_specials(), run_stages(heavy_tailed(150, 7)).special]:
+        table = max_weight_path(sp).table
+        g, xs, cols = table.graph, table.Xi, table.W._cols
+        left, wt, sigma = g.left, g.weight, g.sigma
+        rights = [g.right[v] for v in sigma]
+        ends = [bisect_right(xs, left[v]) for v in range(g.n)]
+        stand = leg_stand_ins(table)
+        for i, vi in enumerate(sigma):
+            lo = bisect_right(rights, left[vi], 0, i)
+            zlo = ends[vi]
+            nested = [y for y in sigma[lo:i] if left[y] > left[vi]]
+            if not nested:
+                continue
+            points = split_points(xs, rights, lo, i, zlo, max(ends[y] for y in nested))
+            zs = [z for _, z in points]
+            for y in nested:
+                src = cols[stand[vi, y], y]
+                tails = [
+                    (bisect_left(rights, xs[z], lo, i) - lo, wt[vi] + src[z], z)
+                    for z in range(zlo, ends[y])
+                ]
+                got = [(c, wt[vi] + src[z], z) for c, z in points[: bisect_left(zs, ends[y])]]
+                assert got == undominated_tails(tails)
+                saw = saw or len(got) > 1
+    assert saw
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        # x ends below l_y but has left every row above its left end, where
+        # a weak floor (-1) plus v_i and y would offer a TAIL heavier than y
+        [("x", 0, 3, 1), ("vi", 2, 10, Fraction(201, 2)), ("y", 5, 8, 50)],
+        # no leg ends below l_y: y's TAIL never has a leg, in any row
+        [("x", 0, 4, 1), ("vi", 2, 10, 100), ("y", 3, 8, Fraction(7, 3))],
+        # zero weights apart from the start vertex: equal rows and ties at 0
+        [("z", 0, 3, 0), ("vi", 2, 10, 1), ("y", 4, 8, 0), ("u", 6, 12, 0)],
+    ],
+    ids=["dead-leg", "empty-cut", "zero-weights"],
+)
+def test_floor_and_copied_rows_on_crafted_specials(records):
+    sp = special_of(records, [])
+    got = max_weight_path(sp)
+    want = reference_max_weight_path(sp)
+    assert got.table.W == want.table.W
+    assert got.table.parent == want.table.parent
+    assert got.weight == want.weight == brute_max_weight_path(sp.graph)
+    assert got.path == want.path
+
+
+def test_a_win_is_written_again_in_a_run_of_equal_rows():
+    """Some golden special has two equal rows in a row, both with a TAIL or
+    SPLIT win: the DP computes the first and copies the second."""
+    for sp in golden_specials():
+        table = max_weight_path(sp).table
+        cols = table.W._cols
+        stand = leg_stand_ins(table)
+        for (v, y), won in table.parent._wins.items():
+            legs = [cols[p, leg] for (w, leg), p in stand.items() if w == v]
+            for pos in won:
+                if pos - 1 in won:
+                    rows = [
+                        tuple(col[q] if q < len(col) else None for col in legs)
+                        for q in (pos - 1, pos)
+                    ]
+                    if rows[0] == rows[1]:
+                        assert won[pos] == won[pos - 1]
+                        return
+    pytest.fail("no TAIL or SPLIT win in a run of equal rows")
 
 
 def test_invalid_partitions_rejected():
