@@ -68,10 +68,28 @@ MUTANTS = [
         "",
     ),
     (
-        "split tie: equal leg end moves to the higher ζ",
+        "split tie: a SPLIT that only ties the best offer so far is written",
         DP,
-        "(cand == best and run_j[cut] < sj)",
-        "(cand == best and run_j[cut] <= sj)",
+        "if cand > best:",
+        "if cand >= best:",
+    ),
+    (
+        "bound: a nested leg's largest addend ignores its tails",
+        DP,
+        "top = tails[0][1] if tails else w_pair",
+        "top = w_pair",
+    ),
+    (
+        "bound: the split loop breaks on its own cut, not on the highest",
+        DP,
+        "if tail <= lim:",
+        "if run_v[cut] + tail <= best:",
+    ),
+    (
+        "legs-only rows: the last leg holding the maximum",
+        DP,
+        "bj = row.index(bv)",
+        "bj = len(row) - 1 - row[::-1].index(bv)",
     ),
     (
         "sharing: a nested leg writes into its stand-in's column",
@@ -88,8 +106,8 @@ MUTANTS = [
     (
         "sharing: a TAIL that only ties its COPY is written",
         DP,
-        "if offer > best:",
-        "if offer >= best:",
+        "if w_pair > lim:",
+        "if w_pair >= lim:",
     ),
     (
         "split grid: a covered dependent vertex keeps its own left end as ξ",

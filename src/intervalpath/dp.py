@@ -9,8 +9,10 @@ then challenged by paths threading v_i between an earlier leg and a tail.
 Each entry is decided once. Its candidates are compared locally in a fixed
 order: INIT, COPY, SELF_APPEND, TAIL (the bare tail (v_i, y) after a leg
 ending before l_y, which needs no split coordinate ζ), then SPLIT by
-increasing ζ. A later candidate wins only if it is strictly heavier, except
-that equal SPLITs keep the leg end of lowest rank, then the lowest ζ.
+increasing ζ. A later candidate wins only if it is strictly heavier, so
+equal SPLITs keep the lowest ζ. That is also the one whose leg end has the
+lowest rank: the cuts of the split points increase with ζ, and the earliest
+leg holding the best of the first c legs never moves down as c grows.
 
 Every read made while sweeping v_i is of an entry whose middle index
 is the stand-in π(y, v_i), which ranks below v_i, while every write has
@@ -54,22 +56,39 @@ is read once per v_i, and every ξ row does flat list work only.
 - Rows are tuples. The stand-ins' columns are read row by row, as the
   tuples ``zip_longest(*srcs, fillvalue=neg)`` makes in C: row ξ holds each
   leg's value at ξ, or ``neg`` past the end of its column, where ξ is
-  above the leg's left end and the leg is dead. One pass over
-  a row fills ``run_v[c]`` and ``run_j[c]``, the best value among the
-  first c legs and the earliest leg holding it, so every query is a list
-  index; each nested y's entry and v_i's own entry are then decided from
-  the row, run_v and run_j alone. Rows stop where the longest leg column
-  does: at a higher ξ no leg lies inside ξ, so v_i's own entry is INIT,
-  the value its column starts with.
+  above the leg's left end and the leg is dead. Where v_i has a nested
+  leg, one pass over a row fills ``run_v[c]`` and ``run_j[c]``, the best
+  value among the first c legs and the earliest leg holding it, so every
+  query is a list index; each nested y's entry and v_i's own entry are then
+  decided from the row, run_v and run_j alone. Rows stop where the longest
+  leg column does: at a higher ξ no leg lies inside ξ, so v_i's own entry
+  is INIT, the value its column starts with.
+- Legs-only rows are read in C. A v_i with no nested leg decides only its
+  own entry, so a row needs its maximum, ``max(row)``, and the earliest leg
+  holding it, ``row.index``: no running max, and no comparison with the
+  row before, which saves nothing once a row costs two C calls.
+- Nested legs are bounded. Every ζ of a nested y is at most l_y, so no
+  offer of y reads a cut above tcut, the TAIL's, and run_v does not
+  decrease with the cut. y's tails do not increase with ζ, as a column
+  does not increase with ξ, and the first is at least w_vi + w_y, as y
+  alone lies above its ζ. So with ``rq = run_v[tcut]`` and ``top`` the
+  first tail (w_vi + w_y if y has none), no offer of y in the row exceeds
+  rq + top: where that is at most the COPY, y is skipped, and the split
+  loop stops at the first tail with rq + tail at most the best so far.
+  Both tests compare an addend with ``lim``, the best so far minus rq,
+  which changes only when the best does. Most nested legs of a dense input
+  are skipped this way; a bound from the row maximum skips almost none, as
+  that maximum sits at later legs, above every cut of y.
 - The floor is exact. ``neg = -1 - sum(weights)`` is below every path
   weight, and so is neg plus any sum of weights, so an offer built on a
   dead leg or on an empty cut never wins, not even a tie, and neg is never
   stored. It is an int whenever the weights are: comparing ints with
   ``float('-inf')`` is slower.
-- Repeated rows are copied. Columns do not increase with ξ, so equal rows
-  come in runs, and a row equal to the one before it has the same
-  outcome: v_i's own entry and parent are copied from the slot below, and
-  the TAIL and SPLIT wins of that row are written again.
+- Repeated rows are copied where v_i has a nested leg. Columns do not
+  increase with ξ, so equal rows come in runs, and a row equal to the one
+  before it has the same outcome: v_i's own entry and parent are copied
+  from the slot below, and the TAIL and SPLIT wins of that row are written
+  again.
 
 Split points are built once per v_i, by ``split_points``, and only if v_i
 has a nested leg. A split at ζ offers run_v[c] + t, where c is the cut
@@ -77,15 +96,14 @@ below ζ and t the tail from ζ. Cuts do not decrease with ζ, and run_v and
 run_j do not decrease with c: run_j moves only when run_v strictly grows.
 A tail cannot grow with ζ, since a higher ζ leaves fewer vertices. So of
 the ζ that share a cut, the lowest has a tail at least as large; it reads
-the same run_v and run_j and wins their tie, so no other ζ of that cut
-can be the winning split of any row. A cut of 0 offers nothing. What is
-left, the lowest ζ of each nonzero cut, depends on v_i alone: a nested
-leg y takes the prefix of it below ``ends[y]``, found by one bisection.
-Each tail is only ever compared against the winner, so leaving the others
-out leaves every value and every parent as it was: the tie rule (lowest
-leg-end rank, then lowest ζ) picks among the same heaviest offers. A tail
-equal to a later one with a larger cut stays: where run_v is equal at
-both cuts, so is run_j, and the earlier ζ is the parent.
+the same run_v and comes first, so no other ζ of that cut can be the
+winning split of any row. A cut of 0 offers nothing. What is left, the
+lowest ζ of each nonzero cut, depends on v_i alone: a nested leg y takes
+the prefix of it below ``ends[y]``, found by one bisection. Each tail is
+only ever compared against the winner, so leaving the others out leaves
+every value and every parent as it was: the first strictly heaviest offer
+in ζ order is the same. A tail equal to a later one with a larger cut
+stays: where run_v is equal at both cuts, the earlier ζ is the parent.
 
 The answer is read at the lowest ξ, the left end of the start vertex v0: a
 zero-weight dependent vertex that ends before every other interval begins,
@@ -272,7 +290,8 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
         # srcs[k] is the k-th leg's stand-in column, and v_i's column for that
         # leg is the same list. A nested leg y, the only kind a TAIL or SPLIT
         # can win, gets an entry (key (v_i, y), k, cut below l_y, w_vi + w_y,
-        # split tails) in nested; cut c stands for the first c legs.
+        # split tails, largest addend) in nested; cut c stands for the first
+        # c legs.
         srcs = []
         nested = []
         points = None
@@ -289,17 +308,32 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                 points = split_points(xs_sorted, rights, lo, i, zlo, ztop)
                 zs = [z for _, z in points]
             tcut = bisect_left(rights, left[y], lo, i) - lo
+            w_pair = w_vi + wt[y]
             # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
             tails = [(c, w_vi + src[z], z) for c, z in points[: bisect_left(zs, ends[y])]]
-            nested.append((key, k, tcut, w_vi + wt[y], tails))
+            # the largest addend of y's offers: tails do not increase with ζ,
+            # and the first is at least w_pair, as y alone lies above its ζ
+            top = tails[0][1] if tails else w_pair
+            nested.append((key, k, tcut, w_pair, tails, top))
+
+        # INIT in every slot, the outcome of a row in which every leg is dead
+        own = cols[vi, vi] = [w_vi] * zlo
+        opar = pcols[vi, vi] = [("INIT",)] * zlo
+        if not nested:
+            # legs only: a row decides v_i's own entry alone, from its maximum
+            # and the earliest leg holding it; no leg column is longer than zlo
+            for pos, row in enumerate(zip_longest(*srcs, fillvalue=neg)):
+                bv = max(row)
+                if bv > 0:  # SELF_APPEND is strictly heavier than INIT
+                    bj = row.index(bv)
+                    own[pos] = bv + w_vi
+                    opar[pos] = ("SELF_APPEND", earlier[bj], stand[bj])
+            continue
 
         # run_v[c], run_j[c]: the best leg value among the first c legs inside
         # ξ and the earliest leg holding it; refilled by every new row
         run_v = [neg] * (len(srcs) + 1)
         run_j = [0] * (len(srcs) + 1)
-        # INIT in every slot, the outcome of a row in which every leg is dead
-        own = cols[vi, vi] = [w_vi] * zlo
-        opar = pcols[vi, vi] = [("INIT",)] * zlo
         prev = None
         # row pos: each leg's stand-in value at ξ position pos, neg where the
         # leg is dead; there are no rows past the longest column
@@ -323,18 +357,29 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
 
             # (column, wins, value, parent) of each TAIL or SPLIT this row wrote
             wrote = []
-            for key, k, tcut, w_pair, tails in nested:
+            for key, k, tcut, w_pair, tails, top in nested:
                 best = row[k]
+                # every ζ is at most l_y, so no offer reads a cut above tcut,
+                # and no addend at or below lim can beat best
+                rq = run_v[tcut]
+                lim = best - rq
+                if top <= lim:
+                    # no TAIL or SPLIT can be strictly heavier than the COPY
+                    continue
                 par = None
-                offer = run_v[tcut] + w_pair
-                if offer > best:
+                if w_pair > lim:
                     j = run_j[tcut]
-                    best, par = offer, ("TAIL", earlier[j], stand[j])
+                    best, par = rq + w_pair, ("TAIL", earlier[j], stand[j])
+                    lim = w_pair
                 sj = -1  # the winning split's leg; no split wins yet
                 for cut, tail, zpos in tails:
+                    if tail <= lim:
+                        # later tails are no larger and read cuts up to tcut
+                        break
                     cand = run_v[cut] + tail
-                    if cand > best or (cand == best and run_j[cut] < sj):
+                    if cand > best:
                         best, sj, sz = cand, run_j[cut], zpos
+                        lim = cand - rq
                 if sj >= 0:
                     par = ("SPLIT", earlier[sj], stand[sj], sz, stand[k])
                 if par is not None:
@@ -348,11 +393,9 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                     won[pos] = par
                     wrote.append((col, won, best, par))
 
-            best, par = w_vi, ("INIT",)
-            if bv + w_vi > best:
-                best, par = bv + w_vi, ("SELF_APPEND", earlier[bj], stand[bj])
-            own[pos] = best
-            opar[pos] = par
+            if bv > 0:
+                own[pos] = bv + w_vi
+                opar[pos] = ("SELF_APPEND", earlier[bj], stand[bj])
 
     best_key = None
     best = None

@@ -12,6 +12,14 @@ consecutively overlapping intervals. Each
 run is replaced by its span carrying the run's total weight; the replacement
 intervals form an independent set containing no other interval.
 
+A cluster spans from its first member's left end to its last member's right
+end: its members come by right end, and no member contains another. On the
+semi-proper input, a free u containing a free v is the center of a claw
+with v for a leaf, and D holds one of the other two leaves. If that leaf is
+left of v, u crosses its right end, a deletion right, and lies in no cell.
+If it is right of v, its left end, a deletion left, lies between r_v and
+r_u, so u and v end in different cells. Either way they share no cluster.
+
 The families hand on only what later stages read: the free vertices, the
 grid, and the runs per cell (rule 2 takes its grid points from them). They
 hold vertex indices; names are looked up only for what survives the rule.
@@ -130,7 +138,8 @@ def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
     """Replace every cluster by its span; weights add up, endpoints renumber.
 
     Survivors keep their input order and the spans follow in S1 order, as
-    one graph on 1..2n built straight from the endpoint order.
+    one graph on 1..2n built straight from the endpoint order. A span is
+    read off its cluster's ends (see the module notes).
     """
     names, left, right, weight = graph.names, graph.left, graph.right, graph.weight
     alive = [True] * graph.n
@@ -146,8 +155,8 @@ def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
     for t, comp in enumerate(families.S1, 1):
         # the bases differ in their digits, so only the graph's names can clash
         back_map[fresh_name(f"a{t}", graph.index)] = comp
-        lefts.append(min(map(left.__getitem__, comp)))
-        rights.append(max(map(right.__getitem__, comp)))
+        lefts.append(left[comp[0]])
+        rights.append(right[comp[-1]])
         weights.append(sum(map(weight.__getitem__, comp)))
     g_sharp = from_endpoint_order(
         [*kept, *back_map], token_order(lefts, rights), weights

@@ -375,7 +375,7 @@ def test_dp_builds_no_neighbor_lists():
 def golden_specials():
     """Special graphs for the DP against its reference: random small ones,
     pipeline outputs on heavy-tailed instances and small combs, and those
-    of dense random instances at the benchmark's sizes."""
+    of dense random instances at n = 40..56, the benchmark's range."""
     lcg = Lcg(404)
     specials = [random_special(lcg) for _ in range(60)]
     graphs = [heavy_tailed(6 + s % 30, 1000 + s) for s in range(100)]
@@ -383,6 +383,11 @@ def golden_specials():
     graphs += [
         generate(GeneratorSpec(kind="random", n=40 + 8 * (s % 3), seed=700 + s))
         for s in range(10)
+    ]
+    # and the sizes between them
+    graphs += [
+        generate(GeneratorSpec(kind="random", n=44 + 8 * (s % 2), seed=720 + s))
+        for s in range(8)
     ]
     return specials + [run_stages(g).special for g in graphs]
 
@@ -479,6 +484,46 @@ def test_floor_and_copied_rows_on_crafted_specials(records):
     assert got.table.parent == want.table.parent
     assert got.weight == want.weight == brute_max_weight_path(sp.graph)
     assert got.path == want.path
+
+
+@pytest.mark.parametrize(
+    "records, vi, y, tag, leg",
+    [
+        # the SPLIT x, vi, u, y is y's heaviest offer at ξ = 0 and weighs
+        # exactly the COPY x, z, u, y: the bound run_v[tcut] + first tail
+        # ties the COPY, and the column stays its stand-in's
+        (
+            [("x", 0, 4, 3), ("vi", 2, 20, 1), ("z", 3, 12, 1), ("u", 5, 7, 4), ("y", 6, 10, 2)],
+            "vi", "y", "COPY", "z",
+        ),
+        # the TAIL x, vi, y (6) loses to the COPY t, u, y (7), but the SPLIT
+        # x, vi, t, u, y (11) wins at l_t, whose cut (x) is below the TAIL's
+        # (x, t): only a bound that counts the tails sees it
+        (
+            [("x", 0, 3, 3), ("vi", 2, 40, 1), ("t", 4, 11, 1), ("u", 10, 14, 4), ("y", 12, 20, 2)],
+            "vi", "y", "SPLIT", "x",
+        ),
+        # vi has no nested leg, and at ξ = 0 the zero-weight y only ties x,
+        # which it extends: the row's maximum is x's, the earliest leg
+        (
+            [("x", 0, 4, 2), ("y", 1, 5, 0), ("vi", 3, 7, 4)],
+            "vi", "vi", "SELF_APPEND", "x",
+        ),
+    ],
+    ids=["bound-ties-copy", "split-below-tail-cut", "legs-only-tie"],
+)
+def test_bound_and_legs_only_rows_on_crafted_specials(records, vi, y, tag, leg):
+    sp = special_of(records, [])
+    got = max_weight_path(sp)
+    want = reference_max_weight_path(sp)
+    assert got.table.W == want.table.W
+    assert got.table.parent == want.table.parent
+    assert got.weight == want.weight == brute_max_weight_path(sp.graph)
+    assert got.path == want.path
+    g = sp.graph
+    # the row at ξ = 0, the left end of the first record
+    par = got.table.parent[1, g.by_name(vi), g.by_name(y)]
+    assert (par[0], g.names[par[1]]) == (tag, leg)
 
 
 def test_a_win_is_written_again_in_a_run_of_equal_rows():

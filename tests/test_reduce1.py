@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import heavy_tailed, is_reducible, named, total_weight
+from helpers import heavy_tailed, is_reducible, named, small_combs, total_weight
 from intervalpath.claws import add_dummies, approx_deletion_set
 from intervalpath.errors import MissingDummies
 from intervalpath.generators import GeneratorSpec, generate
@@ -238,3 +238,22 @@ def test_all_or_none_on_best_paths(seed):
         s = named(st.widened, s)
         inter = s & on_path
         assert inter == set(s) or inter == set()
+
+
+def test_a_cluster_spans_from_its_first_left_end_to_its_last_right_end():
+    """No member of a cluster contains another, so in right-end order the
+    first member has the lowest left end and the last the highest right end,
+    the span ``apply_rule1`` reads off them."""
+    graphs = [generate(GeneratorSpec(kind="random", n=10 + s % 50, seed=900 + s)) for s in range(40)]
+    graphs += [heavy_tailed(30 + 10 * s, 60 + s) for s in range(8)]
+    graphs += [generate(GeneratorSpec(kind="planted", n=300 + 100 * s, k=2 + s % 3, seed=s)) for s in range(6)]
+    graphs += small_combs(4)
+    clusters = 0
+    for g in graphs:
+        st = run_stages(g)
+        left, right = st.widened.left, st.widened.right
+        for comp in st.stage1.families.S1:
+            assert min(left[v] for v in comp) == left[comp[0]]
+            assert max(right[v] for v in comp) == right[comp[-1]]
+            clusters += len(comp) > 1
+    assert clusters > 100
