@@ -148,22 +148,30 @@ MUTANTS = [
         "{*comps[:1], *comps[-1:]}",
     ),
     (
-        "rule 2: clone lefts in reverse order",
-        RULE2,
-        "= [2 * c for c in ids]",
-        "= [2 * c for c in reversed(ids)]",
+        "swap: a group's copies leave their left ends in reverse copy order",
+        INTERVALS,
+        "return from_endpoint_order(names, token_order(lefts, rights), weights)",
+        "return from_endpoint_order(names, sorted(token_order(lefts, rights), key=lambda t: "
+        "((rights if t & 1 else lefts)[t >> 1], t if t & 1 else -t)), weights)",
     ),
     (
-        "rule 2: clone rights in reverse order",
-        RULE2,
-        "= [2 * c + 1 for c in ids]",
-        "= [2 * c + 1 for c in reversed(ids)]",
+        "swap: a group's copies leave their right ends in reverse copy order",
+        INTERVALS,
+        "return from_endpoint_order(names, token_order(lefts, rights), weights)",
+        "return from_endpoint_order(names, sorted(token_order(lefts, rights), key=lambda t: "
+        "((rights if t & 1 else lefts)[t >> 1], -t if t & 1 else t)), weights)",
     ),
     (
-        "rule 2: clones take the weight of one member",
-        RULE2,
+        "swap: copies take the weight of one member",
+        INTERVALS,
         "exact_weight(sum(map(weight.__getitem__, idx)), count)",
         "weight[idx[0]]",
+    ),
+    (
+        "swap: the span's left end read off the last member",
+        INTERVALS,
+        "lefts.extend([left[idx[0]]] * count)",
+        "lefts.extend([left[idx[-1]]] * count)",
     ),
     (
         "rule 1: waterline never rises",

@@ -4,11 +4,11 @@ Coordinates are integers at every stage. Only their order matters, so a
 transformation works on the endpoint order, a list of tokens 2v (the left
 end of v) and 2v + 1 (its right end), and ``from_endpoint_order`` places the
 token at position p on coordinate p + 1. Every graph is made with its
-endpoint order and reads its right-endpoint order off it. Two sorts
-remain in a solve: ``build`` or ``parse_intervals`` sorts the 2n endpoints
-of each input once, and rule 1 sorts the endpoints of the graph it makes.
-Normalizing, making the representation semi-proper, adding the sentinels
-and rule 2 reuse or extend an order they are given. All 2n endpoints of a
+endpoint order and reads its right-endpoint order off it. ``build`` or
+``parse_intervals`` sorts the 2n endpoints of each input once.
+Normalizing, making the representation semi-proper and adding the
+sentinels reuse or extend an order they are given, and each reduction
+sorts only the graph it makes (``swap_spans``). All 2n endpoints of a
 representation are pairwise distinct, so intersection and containment
 reduce to strict coordinate comparisons and the right-endpoint order is
 unambiguous.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
 from operator import lt
 from typing import Iterable
 
@@ -240,7 +241,9 @@ def span(graph: IntervalGraph, vertices) -> tuple:
 
 
 def token_order(left, right) -> list:
-    """Tokens 2v (left end of v) and 2v + 1 (right end) by increasing coordinate."""
+    """Tokens 2v (left end of v) and 2v + 1 (right end) by increasing
+    coordinate. The sort is stable, so tokens on one coordinate keep token
+    order; ``swap_spans`` relies on it."""
     coords = [0] * (2 * len(left))
     coords[0::2] = left
     coords[1::2] = right
@@ -302,6 +305,37 @@ def from_endpoint_order(names, order, weight, pos=None) -> IntervalGraph:
     )
     graph._pos = pos
     return graph
+
+
+def swap_spans(g: IntervalGraph, groups) -> IntervalGraph:
+    """``g`` with each group's members swapped for copies of their span.
+
+    A group is (member indices in right-end order, new names), one copy per
+    name; no member contains another, so the span runs from the first
+    member's left end to the last member's right end. Survivors keep their
+    order and come first, and each group's copies follow, group by group,
+    sharing the group's weight evenly. The copies of a group sit on the
+    span's two coordinates, and the stable sort keeps them in copy order at
+    both ends: they pairwise overlap, contain nothing, and keep exactly the
+    span's adjacency to the rest of the graph.
+    """
+    left, right, weight = g.left, g.right, g.weight
+    alive = [True] * g.n
+    for idx, _ in groups:
+        for v in idx:
+            alive[v] = False
+    keep = list(compress(range(g.n), alive))
+    names = [g.names[v] for v in keep]
+    lefts = [left[v] for v in keep]
+    rights = [right[v] for v in keep]
+    weights = [weight[v] for v in keep]
+    for idx, new in groups:
+        count = len(new)
+        names.extend(new)
+        lefts.extend([left[idx[0]]] * count)
+        rights.extend([right[idx[-1]]] * count)
+        weights.extend([exact_weight(sum(map(weight.__getitem__, idx)), count)] * count)
+    return from_endpoint_order(names, token_order(lefts, rights), weights)
 
 
 def renumbered(graph: IntervalGraph, order, pos=None) -> IntervalGraph:

@@ -28,11 +28,11 @@ hold vertex indices; names are looked up only for what survives the rule.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, filterfalse
+from itertools import filterfalse
 from dataclasses import dataclass, field
 
 from .errors import MissingDummies
-from .intervals import IntervalGraph, fresh_name, from_endpoint_order, token_order
+from .intervals import IntervalGraph, fresh_name, swap_spans
 
 
 @dataclass(frozen=True)
@@ -135,37 +135,19 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
 
 
 def apply_rule1(graph: IntervalGraph, families: Stage1Families) -> Stage1Result:
-    """Replace every cluster by its span; weights add up, endpoints renumber.
-
-    Survivors keep their input order and the spans follow in S1 order, as
-    one graph on 1..2n built straight from the endpoint order. A span is
-    read off its cluster's ends (see the module notes).
-    """
-    names, left, right, weight = graph.names, graph.left, graph.right, graph.weight
-    alive = [True] * graph.n
-    for comp in families.S1:
-        for v in comp:
-            alive[v] = False
-    keep = list(compress(range(graph.n), alive))
-    kept = [names[v] for v in keep]
-    lefts = [left[v] for v in keep]
-    rights = [right[v] for v in keep]
-    weights = [weight[v] for v in keep]
-    back_map = {}
-    for t, comp in enumerate(families.S1, 1):
-        # the bases differ in their digits, so only the graph's names can clash
-        back_map[fresh_name(f"a{t}", graph.index)] = comp
-        lefts.append(left[comp[0]])
-        rights.append(right[comp[-1]])
-        weights.append(sum(map(weight.__getitem__, comp)))
-    g_sharp = from_endpoint_order(
-        [*kept, *back_map], token_order(lefts, rights), weights
-    )
-    d_set = families.D
+    """Replace every cluster by one interval over its span carrying the
+    cluster's weight (``swap_spans``). Survivors keep their input order and
+    the spans follow in S1 order."""
+    # the bases differ in their digits, so only the graph's names can clash
+    back_map = {
+        fresh_name(f"a{t}", graph.index): comp for t, comp in enumerate(families.S1, 1)
+    }
+    g_sharp = swap_spans(graph, [(comp, (nm,)) for nm, comp in back_map.items()])
+    kept = g_sharp.names[: g_sharp.n - len(back_map)]
     return Stage1Result(
         g_sharp=g_sharp,
         A=frozenset(back_map),
-        U_sharp=frozenset(nm for v, nm in zip(keep, kept) if v not in d_set),
+        U_sharp=frozenset(kept).difference(map(graph.names.__getitem__, families.D)),
         back_map=back_map,
         families=families,
         graph=graph,

@@ -10,21 +10,21 @@ split is uneven). Copies are staircased at the two ends of the span so they
 pairwise overlap, contain nothing, and keep exactly the span's adjacency to
 the rest of the graph.
 
-Only the endpoint order matters, so the swap is one pass over the reduced
-graph's endpoint order. The members leave; the copy lefts go, in copy
-order, where the span's left end was, and the copy rights, in copy order,
-where its right end was. Both ends belong to members, and no two bins share
-one, so nothing else lands between a span's end and its copies.
+A bin's span runs from its first member's left end to its last member's
+right end: its members come by right end, and no member contains another.
+A free u containing a free v has a deletion endpoint between their ends on
+one side (see ``reduce1``): a deletion right between their left ends, or a
+deletion left between their right ends. T holds every deletion endpoint, so
+u and v never share a bin.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from math import comb
 
-from .intervals import IntervalGraph, exact_weight, fresh_name, from_endpoint_order
+from .intervals import IntervalGraph, fresh_name, swap_spans
 from .reduce1 import Stage1Result
 
 
@@ -93,55 +93,21 @@ def compute_stage2_families(stage1: Stage1Result, deletion) -> Stage2Families:
     return Stage2Families(T=tuple(t_sorted), Uji=uji)
 
 
-def _swap_groups(g: IntervalGraph, groups) -> IntervalGraph:
-    """``g`` with every group's members swapped for its clones, made in one
-    pass over ``g``'s endpoint order. Survivors keep their order and come
-    first; the clones follow, group by group."""
-    left, right, weight = g.left, g.right, g.weight
-    spans = [list(map(g.index.__getitem__, grp.members)) for grp in groups]
-    alive = [True] * g.n
-    for idx in spans:
-        for v in idx:
-            alive[v] = False
-    keep = list(compress(range(g.n), alive))
-    new = [-1] * g.n
-    for i, v in enumerate(keep):
-        new[v] = i
-    names = [g.names[v] for v in keep]
-    weights = [weight[v] for v in keep]
-    at = {}  # a member's token -> the clone tokens that take its place
-    for grp, idx in zip(groups, spans):
-        count = len(grp.clones)
-        ids = range(len(names), len(names) + count)
-        names.extend(grp.clones)
-        share = exact_weight(sum(map(weight.__getitem__, idx)), count)
-        weights.extend([share] * count)
-        at[2 * min(idx, key=left.__getitem__)] = [2 * c for c in ids]
-        at[2 * max(idx, key=right.__getitem__) + 1] = [2 * c + 1 for c in ids]
-    order = []
-    for t in g.endpoint_order():
-        v = t >> 1
-        if alive[v]:
-            order.append(2 * new[v] + (t & 1))
-        elif t in at:
-            order.extend(at[t])
-    return from_endpoint_order(names, order, weights)
-
-
 def apply_rule2(
     stage1: Stage1Result, families: Stage2Families, deletion
 ) -> SpecialWeightedIntervalGraph:
-    """Name each bin's clones, then swap every bin for them (``_swap_groups``)."""
+    """Name each bin's clones, then swap every bin for them (``swap_spans``)."""
     g = stage1.g_sharp
     cap = len(deletion.marked) + 4
-    groups = []
+    groups, spans = [], []
     for gi, key in enumerate(sorted(families.Uji), 1):
         members = families.Uji[key]
         count = min(len(members), cap)
         # the bases differ in their digits, so only the graph's names can clash
         clones = tuple(fresh_name(f"c{gi}_{j}", g.index) for j in range(1, count + 1))
         groups.append(CloneGroup(key=key, members=members, clones=clones))
-    hat = _swap_groups(g, groups)
+        spans.append((list(map(g.index.__getitem__, members)), clones))
+    hat = swap_spans(g, spans)
     k = len(deletion.marked) - 2
     kappa = (k + 2) + comb(18 * k + 16, 2) * (k + 6)
     return SpecialWeightedIntervalGraph(
@@ -158,5 +124,8 @@ def apply_rule2(
 def intermediate_graphs(special: SpecialWeightedIntervalGraph) -> list:
     """Replay the group swaps: element t is G# with the first t groups
     swapped, so the last element is ``special.graph``."""
-    groups = special.groups
-    return [_swap_groups(special.g_sharp, groups[:t]) for t in range(len(groups) + 1)]
+    g = special.g_sharp
+    spans = [
+        (list(map(g.index.__getitem__, grp.members)), grp.clones) for grp in special.groups
+    ]
+    return [swap_spans(g, spans[:t]) for t in range(len(spans) + 1)]

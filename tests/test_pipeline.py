@@ -267,8 +267,9 @@ def test_front_end_builds_one_adjacency(make, monkeypatch):
 
 def test_each_input_is_sorted_once(monkeypatch):
     """``build`` sorts the input's endpoints once, and the solve reuses that
-    order; rule 1 binds its own ``token_order``, so the counter sees only
-    the front end. The sentinels extend the semi-proper order."""
+    order; after it, a solve sorts only the two small graphs the reductions
+    make, G# and the special graph. The sentinels extend the semi-proper
+    order."""
     records = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)).records()
     calls = []
     real = intervals.token_order
@@ -280,10 +281,13 @@ def test_each_input_is_sorted_once(monkeypatch):
     monkeypatch.setattr(intervals, "token_order", counting)
     g = build(records)
     assert calls == [len(records)]
+    del calls[:]
     res = longest_path(g)
-    assert calls == [len(records)]
+    solve_calls = calls[:]
     assert is_path(g, res.path)
     st = run_stages(g)
+    assert solve_calls == [st.stage1.g_sharp.n, st.special.graph.n]
+    assert max(solve_calls) < len(records) // 10, solve_calls
     assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in st.semi.endpoint_order()]
 
 

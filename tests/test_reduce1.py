@@ -243,12 +243,13 @@ def test_all_or_none_on_best_paths(seed):
 def test_a_cluster_spans_from_its_first_left_end_to_its_last_right_end():
     """No member of a cluster contains another, so in right-end order the
     first member has the lowest left end and the last the highest right end,
-    the span ``apply_rule1`` reads off them."""
+    the span ``swap_spans`` reads off them. The same holds for rule 2's bins
+    in G#."""
     graphs = [generate(GeneratorSpec(kind="random", n=10 + s % 50, seed=900 + s)) for s in range(40)]
     graphs += [heavy_tailed(30 + 10 * s, 60 + s) for s in range(8)]
     graphs += [generate(GeneratorSpec(kind="planted", n=300 + 100 * s, k=2 + s % 3, seed=s)) for s in range(6)]
     graphs += small_combs(4)
-    clusters = 0
+    clusters = bins = 0
     for g in graphs:
         st = run_stages(g)
         left, right = st.widened.left, st.widened.right
@@ -256,4 +257,11 @@ def test_a_cluster_spans_from_its_first_left_end_to_its_last_right_end():
             assert min(left[v] for v in comp) == left[comp[0]]
             assert max(right[v] for v in comp) == right[comp[-1]]
             clusters += len(comp) > 1
+        gs = st.stage1.g_sharp
+        for grp in st.special.groups:
+            idx = [gs.by_name(nm) for nm in grp.members]
+            assert min(gs.left[v] for v in idx) == gs.left[idx[0]]
+            assert max(gs.right[v] for v in idx) == gs.right[idx[-1]]
+            bins += len(idx) > 1
     assert clusters > 100
+    assert bins > 100
