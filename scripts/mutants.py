@@ -12,7 +12,7 @@ Usage, from a checkout's root:
     python3 scripts/mutants.py [PYTEST_ARGS ...]
 
 PYTEST_ARGS default to ``tests/test_dp.py``, which sees the DP mutants
-only; the reduction and sentinel mutants need the whole suite:
+only; the reduction, sentinel and normalization mutants need the whole suite:
 
     python3 scripts/mutants.py --continue-on-collection-errors
 
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DP = "src/intervalpath/dp.py"
 CLAWS = "src/intervalpath/claws.py"
 INTERVALS = "src/intervalpath/intervals.py"
+PATHS = "src/intervalpath/paths.py"
 RULE1 = "src/intervalpath/reduce1.py"
 RULE2 = "src/intervalpath/reduce2.py"
 SEMI = "src/intervalpath/semiproper.py"
@@ -62,9 +63,9 @@ MUTANTS = [
         "",
     ),
     (
-        "copied rows: a repeated row copies its value but not its parent",
+        "copied rows: a repeated row leaves v_i's own entry at INIT",
         DP,
-        "                opar[pos] = opar[pos - 1]\n",
+        "                own[pos] = own[pos - 1]\n",
         "",
     ),
     (
@@ -86,10 +87,34 @@ MUTANTS = [
         "if run_v[cut] + tail <= best:",
     ),
     (
-        "legs-only rows: the last leg holding the maximum",
+        "own entries: SELF_APPEND from the last leg holding the rest",
         DP,
-        "bj = row.index(bv)",
-        "bj = len(row) - 1 - row[::-1].index(bv)",
+        "for x, p, src in zip(*self._legs[v]):",
+        "for x, p, src in reversed(list(zip(*self._legs[v]))):",
+    ),
+    (
+        "own entries: a SELF_APPEND on a zero leg",
+        DP,
+        "if rest > 0:",
+        "if rest >= 0:",
+    ),
+    (
+        "TAIL: the last leg holding rq below the cut",
+        DP,
+        "j = row.index(rq)",
+        "j = tcut - 1 - row[tcut - 1 :: -1].index(rq)",
+    ),
+    (
+        "SPLIT: the last leg holding the running max below the cut",
+        DP,
+        "sj = row.index(run_v[sc])",
+        "sj = sc - 1 - row[sc - 1 :: -1].index(run_v[sc])",
+    ),
+    (
+        "answer key: the last column holding the best value",
+        DP,
+        "keys[firsts.index(max(firsts))]",
+        "keys[len(firsts) - 1 - firsts[::-1].index(max(firsts))]",
     ),
     (
         "sharing: a nested leg writes into its stand-in's column",
@@ -120,6 +145,12 @@ MUTANTS = [
         DP,
         "if right[v] < right[a_sorted[pos]]:",
         "if False:",
+    ),
+    (
+        "normalize: the successor's start is tested against its own end",
+        PATHS,
+        "if left[w] < rc:",
+        "if left[w] < right[w]:",
     ),
     (
         "extremes: z2 from the first left token in the span",

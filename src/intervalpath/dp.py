@@ -30,11 +30,16 @@ is read once per v_i, and every ξ row does flat list work only.
   that list too until a TAIL or SPLIT is strictly heavier in some slot:
   the first such win copies the list (in C) and the sweep writes only the
   winning slots into the copy, so a stand-in's column never changes.
-- Parents are as sparse. ``pcols[v, v]`` is v's own parent list (INIT or
-  SELF_APPEND per slot). For a leg y, ``pcols[v, y]`` is the stand-in p,
+- Parents are as sparse. For a leg y, ``pcols[v, y]`` is the stand-in p,
   and every entry is ("COPY", p) except the slots in ``wins[v, y]``, a
   {ξ position: parent} dict made with the copy, so a column has a list
-  of its own exactly when it has wins.
+  of its own exactly when it has wins. v's own entries keep no parent: the
+  sweep keeps ``legs[v]``, v's earlier neighbors with their stand-ins and
+  the stand-ins' columns, and an own entry is INIT where its value is w_v,
+  else the SELF_APPEND from the earliest leg whose column holds the value
+  minus w_v at that ξ, the leg the sweep took its maximum from. A solve
+  reads about one own-entry parent per path vertex, so it pays for those
+  alone.
   ``DpTable.W`` and ``DpTable.parent`` are read-only mappings over these,
   keyed by (ξ position, v, y): ``ColumnView`` and ``ParentView``.
 - Stand-ins come from the sweep. After a dependent v_i is swept, it
@@ -57,16 +62,22 @@ is read once per v_i, and every ξ row does flat list work only.
   tuples ``zip_longest(*srcs, fillvalue=neg)`` makes in C: row ξ holds each
   leg's value at ξ, or ``neg`` past the end of its column, where ξ is
   above the leg's left end and the leg is dead. Where v_i has a nested
-  leg, one pass over a row fills ``run_v[c]`` and ``run_j[c]``, the best
-  value among the first c legs and the earliest leg holding it, so every
-  query is a list index; each nested y's entry and v_i's own entry are then
-  decided from the row, run_v and run_j alone. Rows stop where the longest
-  leg column does: at a higher ξ no leg lies inside ξ, so v_i's own entry
-  is INIT, the value its column starts with.
-- Legs-only rows are read in C. A v_i with no nested leg decides only its
-  own entry, so a row needs its maximum, ``max(row)``, and the earliest leg
-  holding it, ``row.index``: no running max, and no comparison with the
-  row before, which saves nothing once a row costs two C calls.
+  leg, one pass over a row fills ``run_v[c]``, the best value among the
+  first c legs, so every query's value is a list index; each nested y's
+  entry and v_i's own entry are then decided from the row and run_v alone.
+  The leg behind a value is looked up only where a TAIL or SPLIT wins, as
+  ``row.index(run_v[c])``: the first leg holding the best of the first c
+  is the earliest, and run_v[c] is a leg's value, not neg, wherever an
+  offer reading it wins. Rows stop where the longest leg column does: at a
+  higher ξ no leg lies inside ξ, so v_i's own entry is INIT, the value its
+  column starts with.
+- Legs-only columns are built in C. A v_i with no nested leg decides only
+  its own entry, so its column is ``max`` of each row plus w_vi, in one
+  ``map`` over the rows with a zero column in front, which stands for INIT
+  (a SELF_APPEND wins only if strictly heavier) and makes one row per
+  slot, ξ <= l_vi. Taking the own entries of a nested v_i the same way, in
+  a second pass, made the DP on the dense seed-1 pool about 19% slower
+  than reading them off run_v.
 - Nested legs are bounded. Every ζ of a nested y is at most l_y, so no
   offer of y reads a cut above tcut, the TAIL's, and run_v does not
   decrease with the cut. y's tails do not increase with ζ, as a column
@@ -86,18 +97,17 @@ is read once per v_i, and every ξ row does flat list work only.
   ``float('-inf')`` is slower.
 - Repeated rows are copied where v_i has a nested leg. Columns do not
   increase with ξ, so equal rows come in runs, and a row equal to the one
-  before it has the same outcome: v_i's own entry and parent are copied
-  from the slot below, and the TAIL and SPLIT wins of that row are written
-  again.
+  before it has the same outcome: v_i's own value is copied from the slot
+  below, and the TAIL and SPLIT wins of that row are written again.
 
 Split points are built once per v_i, by ``split_points``, and only if v_i
 has a nested leg. A split at ζ offers run_v[c] + t, where c is the cut
-below ζ and t the tail from ζ. Cuts do not decrease with ζ, and run_v and
-run_j do not decrease with c: run_j moves only when run_v strictly grows.
-A tail cannot grow with ζ, since a higher ζ leaves fewer vertices. So of
-the ζ that share a cut, the lowest has a tail at least as large; it reads
-the same run_v and comes first, so no other ζ of that cut can be the
-winning split of any row. A cut of 0 offers nothing. What is left, the
+below ζ and t the tail from ζ. Cuts do not decrease with ζ, run_v does
+not decrease with c, and the earliest leg holding run_v[c] moves only when
+run_v strictly grows. A tail cannot grow with ζ, since a higher ζ leaves
+fewer vertices. So of the ζ that share a cut, the lowest has a tail at
+least as large; it reads the same run_v and comes first, so no other ζ of
+that cut can be the winning split of any row. A cut of 0 offers nothing. What is left, the
 lowest ζ of each nonzero cut, depends on v_i alone: a nested leg y takes
 the prefix of it below ``ends[y]``, found by one bisection. Each tail is
 only ever compared against the winner, so leaving the others out leaves
@@ -109,6 +119,10 @@ The answer is read at the lowest ξ, the left end of the start vertex v0: a
 zero-weight dependent vertex that ends before every other interval begins,
 so every vertex lies above it. The special graph names v0 and the DP only
 checks it; rule 2 names the low sentinel d0 that ``add_dummies`` placed.
+Of the entries at that ξ with the best value, the answer is the one with
+the lowest (rank v, rank y). ``cols`` is filled in that order, legs before
+v's own column, and a won column replaces its list in place, so that is
+the first column whose slot 0 holds the best value.
 """
 
 from __future__ import annotations
@@ -116,7 +130,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
+from operator import add, itemgetter
 
 from .errors import CorruptParentChain, InvalidSpecialPartition
 from .intervals import IntervalGraph
@@ -172,30 +187,38 @@ class ColumnView(Mapping):
 
 class ParentView(ColumnView):
     """Read-only (ξ index, v, y) mapping of parents, with the keys of the
-    value columns. ``pcols[v, v]`` is v's own parent column. For y != v,
-    ``pcols[v, y]`` is the stand-in p whose entry each (ξ, v, y) copies,
-    read as ("COPY", p), except at the ξ indices in ``wins[v, y]``, which
-    map to the TAIL or SPLIT that was strictly heavier."""
+    value columns. For y != v, ``pcols[v, y]`` is the stand-in p whose entry
+    each (ξ, v, y) copies, read as ("COPY", p), except at the ξ indices in
+    ``wins[v, y]``, which map to the TAIL or SPLIT that was strictly
+    heavier. v's own entry is found from its value: INIT where that is w_v,
+    else SELF_APPEND from the earliest of ``legs[v]`` whose stand-in column
+    holds the rest at that ξ index."""
 
-    __slots__ = ("_pcols", "_wins")
+    __slots__ = ("_pcols", "_wins", "_legs", "_wt")
 
-    def __init__(self, cols: dict, pcols: dict, wins: dict):
+    def __init__(self, cols: dict, pcols: dict, wins: dict, legs: dict, wt: list):
         super().__init__(cols)
         self._pcols = pcols
         self._wins = wins
+        self._legs = legs
+        self._wt = wt
 
     def __getitem__(self, key):
         pos, v, y = key
         col = self._cols.get((v, y))
         if col is None or not 0 <= pos < len(col):
             raise KeyError(key)
-        par = self._pcols[v, y]
         if v == y:
-            return par[pos]
+            rest = col[pos] - self._wt[v]
+            if rest > 0:
+                for x, p, src in zip(*self._legs[v]):
+                    if pos < len(src) and src[pos] == rest:
+                        return ("SELF_APPEND", x, p)
+            return ("INIT",)
         won = self._wins.get((v, y))
         if won is not None and pos in won:
             return won[pos]
-        return ("COPY", par)
+        return ("COPY", self._pcols[v, y])
 
 
 def split_grid(special: SpecialWeightedIntervalGraph) -> tuple:
@@ -262,13 +285,15 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     """Best-weight path of the special graph, with parent chains for replay."""
     dependent, xs_sorted = split_grid(special)
     g = special.graph
-    rank, left, right, wt, sigma = g.rank, g.left, g.right, g.weight, g.sigma
+    left, right, wt, sigma = g.left, g.right, g.weight, g.sigma
     rights = [right[v] for v in sigma]
     # every column ending at y has one slot per ξ <= l_y
     ends = [bisect_right(xs_sorted, left[v]) for v in range(g.n)]
     cols = {}
     pcols = {}
     wins = {}
+    # legs[v] = (earlier neighbors, their stand-ins, the stand-ins' columns)
+    legs = {}
     # last_b[y] = pi(y, v_i): the last dependent vertex swept so far that
     # overlaps y from above, or y itself
     last_b = list(range(g.n))
@@ -316,24 +341,20 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
             top = tails[0][1] if tails else w_pair
             nested.append((key, k, tcut, w_pair, tails, top))
 
-        # INIT in every slot, the outcome of a row in which every leg is dead
-        own = cols[vi, vi] = [w_vi] * zlo
-        opar = pcols[vi, vi] = [("INIT",)] * zlo
+        legs[vi] = (earlier, stand, srcs)
         if not nested:
-            # legs only: a row decides v_i's own entry alone, from its maximum
-            # and the earliest leg holding it; no leg column is longer than zlo
-            for pos, row in enumerate(zip_longest(*srcs, fillvalue=neg)):
-                bv = max(row)
-                if bv > 0:  # SELF_APPEND is strictly heavier than INIT
-                    bj = row.index(bv)
-                    own[pos] = bv + w_vi
-                    opar[pos] = ("SELF_APPEND", earlier[bj], stand[bj])
+            # legs only: a row decides v_i's own entry alone, from its maximum;
+            # the zero column is INIT, and no leg column is longer than zlo
+            cols[vi, vi] = list(
+                map(add, map(max, zip_longest(repeat(0, zlo), *srcs, fillvalue=neg)), repeat(w_vi))
+            )
             continue
 
-        # run_v[c], run_j[c]: the best leg value among the first c legs inside
-        # ξ and the earliest leg holding it; refilled by every new row
+        # INIT in every slot, the outcome of a row in which every leg is dead
+        own = cols[vi, vi] = [w_vi] * zlo
+        # run_v[c]: the best leg value among the first c legs inside ξ,
+        # refilled by every new row
         run_v = [neg] * (len(srcs) + 1)
-        run_j = [0] * (len(srcs) + 1)
         prev = None
         # row pos: each leg's stand-in value at ξ position pos, neg where the
         # leg is dead; there are no rows past the longest column
@@ -341,19 +362,16 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
             if row == prev:
                 # the same row has the same outcome
                 own[pos] = own[pos - 1]
-                opar[pos] = opar[pos - 1]
                 for col, won, best, par in wrote:
                     col[pos] = best
                     won[pos] = par
                 continue
             prev = row
             bv = neg
-            bj = 0
             for k, val in enumerate(row, 1):
                 if val > bv:
-                    bv, bj = val, k - 1
+                    bv = val
                 run_v[k] = bv
-                run_j[k] = bj
 
             # (column, wins, value, parent) of each TAIL or SPLIT this row wrote
             wrote = []
@@ -368,19 +386,21 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                     continue
                 par = None
                 if w_pair > lim:
-                    j = run_j[tcut]
+                    # rq is a leg's value here, and its first holder the earliest
+                    j = row.index(rq)
                     best, par = rq + w_pair, ("TAIL", earlier[j], stand[j])
                     lim = w_pair
-                sj = -1  # the winning split's leg; no split wins yet
+                sc = 0  # the winning split's cut; no split wins yet
                 for cut, tail, zpos in tails:
                     if tail <= lim:
                         # later tails are no larger and read cuts up to tcut
                         break
                     cand = run_v[cut] + tail
                     if cand > best:
-                        best, sj, sz = cand, run_j[cut], zpos
+                        best, sc, sz = cand, cut, zpos
                         lim = cand - rq
-                if sj >= 0:
+                if sc:
+                    sj = row.index(run_v[sc])
                     par = ("SPLIT", earlier[sj], stand[sj], sz, stand[k])
                 if par is not None:
                     won = wins.get(key)
@@ -393,18 +413,16 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                     won[pos] = par
                     wrote.append((col, won, best, par))
 
-            if bv > 0:
+            if bv > 0:  # SELF_APPEND is strictly heavier than INIT
                 own[pos] = bv + w_vi
-                opar[pos] = ("SELF_APPEND", earlier[bj], stand[bj])
 
-    best_key = None
-    best = None
-    for (v, y), col in cols.items():
-        order = (-col[0], rank[v], rank[y])
-        if best is None or order < best:
-            best = order
-            best_key = (0, v, y)
-    table = DpTable(graph=g, Xi=xs_sorted, W=ColumnView(cols), parent=ParentView(cols, pcols, wins))
+    # the first column with the best value at ξ = 0 has the lowest ranks
+    keys = list(cols)
+    firsts = list(map(itemgetter(0), cols.values()))
+    best_key = (0, *keys[firsts.index(max(firsts))])
+    table = DpTable(
+        graph=g, Xi=xs_sorted, W=ColumnView(cols), parent=ParentView(cols, pcols, wins, legs, wt)
+    )
     weight = table.W[best_key]
     path = reconstruct(table, best_key)
     if path == [special.v0]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from intervalpath.claws import ClawWitness, DeletionSet, _claw_leaves
 from intervalpath.dp import DpResult, DpTable, reconstruct, split_grid
-from intervalpath.errors import EmptySet, IntervalError, InvalidPath
+from intervalpath.errors import EmptySet, IntervalError, InvalidPath, NormalizationFailed
 from intervalpath.intervals import (
     IntervalGraph,
     build,
@@ -385,6 +385,33 @@ def is_normal_path(graph: IntervalGraph, names) -> bool:
                 break
         remaining.discard(cur)
     return True
+
+
+def reference_normalize_path(graph: IntervalGraph, vertices) -> list:
+    """``normalize_path`` as it was before it stopped building neighbor
+    lists: the greedy walks each vertex's rank-sorted neighbors."""
+    idx = _to_indices(graph, set(vertices))
+    if not idx:
+        raise EmptySet("nothing to normalize")
+    rank = graph.rank
+    cur = min(idx, key=rank.__getitem__)
+    remaining = set(idx)
+    remaining.discard(cur)
+    out = [cur]
+    while remaining:
+        nxt = None
+        for w in graph.neighbors(cur):
+            if w in remaining:
+                nxt = w
+                break
+        if nxt is None:
+            raise NormalizationFailed(
+                f"stuck at {graph.names[cur]!r} with {len(remaining)} vertices left"
+            )
+        remaining.discard(nxt)
+        out.append(nxt)
+        cur = nxt
+    return [graph.names[v] for v in out]
 
 
 # The DP's stand-in and leg tables and the DP as it was before its sweep

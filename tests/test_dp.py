@@ -526,6 +526,43 @@ def test_bound_and_legs_only_rows_on_crafted_specials(records, vi, y, tag, leg):
     assert (par[0], g.names[par[1]]) == (tag, leg)
 
 
+@pytest.mark.parametrize(
+    "records, want",
+    [
+        # legs only: at v0's ξ the zero-weight z is the best leg, worth 0,
+        # and a SELF_APPEND that only ties INIT does not win
+        ([("z", 0, 3, 0), ("vi", 2, 10, 1)], {(0, "vi"): ("INIT",)}),
+        # a nested leg y: x and x, y tie at v0's ξ, and x, the earlier leg,
+        # is the SELF_APPEND; above l_x the best leg is y, worth 0
+        (
+            [("x", 0, 3, 1), ("vi", 1, 5, 2), ("y", 2, 4, 0)],
+            {(0, "vi"): ("SELF_APPEND", "x"), (2, "vi"): ("INIT",)},
+        ),
+        # a and d tie below l_b and l_c: the TAIL of c and the SPLIT of b
+        # take a, the earlier of the two
+        (
+            [("d", 0, 4, 0), ("vi", 1, 9, 2), ("a", 2, 3, 1), ("b", 5, 8, 0), ("c", 6, 7, 1)],
+            {(0, "c"): ("TAIL", "a"), (0, "b"): ("SPLIT", "a")},
+        ),
+    ],
+    ids=["zero-leg", "own-tie", "tail-and-split-ties"],
+)
+def test_own_entries_and_tied_legs_on_crafted_specials(records, want):
+    sp = special_of(records, [])
+    got = max_weight_path(sp)
+    ref = reference_max_weight_path(sp)
+    assert got.table.W == ref.table.W
+    assert got.table.parent == ref.table.parent
+    assert got.weight == ref.weight == brute_max_weight_path(sp.graph)
+    assert got.path == ref.path
+    g = sp.graph
+    vi = g.by_name("vi")
+    for (pos, y), (tag, *leg) in want.items():
+        par = got.table.parent[pos, vi, g.by_name(y)]
+        assert par[0] == tag
+        assert [g.names[x] for x in par[1:2]] == leg
+
+
 def test_a_win_is_written_again_in_a_run_of_equal_rows():
     """Some golden special has two equal rows in a row, both with a TAIL or
     SPLIT win: the DP computes the first and copies the second."""

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from helpers import is_normal_path, path_sets
+from helpers import heavy_tailed, is_normal_path, path_sets, reference_normalize_path, small_combs
 from intervalpath.errors import InvalidPath, NormalizationFailed
 from intervalpath.generators import GeneratorSpec, generate
 from intervalpath.paths import is_path, normalize_path
+from intervalpath.pipeline import longest_path
 
 
 def test_is_path(path3):
@@ -37,6 +40,52 @@ def test_normalize_path_frozen(path3, claw4):
 def test_normalize_path_reports_stuck_greedy(path3):
     with pytest.raises(NormalizationFailed):
         normalize_path(path3, {"a", "c"})
+
+
+def _same_normalization(g, names) -> bool:
+    """normalize_path and the neighbor-list greedy agree on names: the same
+    order, or NormalizationFailed with the same message. True for a path."""
+    try:
+        want = reference_normalize_path(g, names)
+    except NormalizationFailed as exc:
+        with pytest.raises(NormalizationFailed) as got:
+            normalize_path(g, names)
+        assert str(got.value) == str(exc)
+        return False
+    assert normalize_path(g, names) == want
+    return True
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        lambda: [
+            generate(GeneratorSpec(kind="random", n=2 + s % 40, seed=900 + s)) for s in range(30)
+        ],
+        lambda: [heavy_tailed(6 + s % 40, 300 + s) for s in range(30)],
+        lambda: small_combs(4),
+    ],
+    ids=["random", "heavy_tailed", "comb"],
+)
+def test_normalize_path_matches_the_neighbor_list_greedy(graphs):
+    """Random vertex sets, runs of consecutive right ends (mostly paths on
+    dense inputs) and each graph's longest path, shuffled."""
+    rng = random.Random(3)
+    outcomes = []
+    for g in graphs():
+        sigma = g.sigma
+        sets = [longest_path(g).path]
+        for _ in range(40):
+            size = rng.randint(1, g.n)
+            if rng.random() < 0.5:
+                start = rng.randrange(g.n - size + 1)
+                sets.append([g.names[v] for v in sigma[start : start + size]])
+            else:
+                sets.append([g.names[v] for v in rng.sample(range(g.n), size)])
+        for names in sets:
+            rng.shuffle(names)
+            outcomes.append(_same_normalization(g, names))
+    assert True in outcomes and False in outcomes
 
 
 def normal_paths_of(g):

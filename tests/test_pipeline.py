@@ -243,26 +243,23 @@ def test_stats_count_the_input_edges(graphs):
     "make",
     [
         lambda: generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)),
+        lambda: generate(GeneratorSpec(kind="random", n=48, seed=5)),
         lambda: small_combs(4)[-1],
     ],
-    ids=["planted2000", "comb"],
+    ids=["planted2000", "dense48", "comb"],
 )
-def test_front_end_builds_one_adjacency(make, monkeypatch):
-    """At most one neighbor-list build on a graph as large as the input per
-    solve; the stages before the DP work on the endpoint order."""
+def test_a_solve_builds_no_neighbor_lists(make, monkeypatch):
+    """No stage of a solve, the lift and the final check included, asks any
+    graph for its neighbor lists."""
     g = make()
-    sizes = []
-    real = IntervalGraph._build_neighbors
 
-    def counting(graph):
-        if graph.n >= g.n:
-            sizes.append(graph.n)
-        real(graph)
+    def refuse(graph):
+        raise AssertionError(f"neighbor lists built on a graph of {graph.n} vertices")
 
-    monkeypatch.setattr(IntervalGraph, "_build_neighbors", counting)
+    monkeypatch.setattr(IntervalGraph, "_build_neighbors", refuse)
     res = longest_path(g)
     assert res.length == len(res.path) and is_path(g, res.path)
-    assert len(sizes) <= 1, sizes
+    assert res.stats["b_size"] > 1
 
 
 def test_each_input_is_sorted_once(monkeypatch):
