@@ -57,9 +57,7 @@ MUTANTS = [
     (
         "copied rows: a repeated row does not write its wins again",
         DP,
-        "                for col, won, best, par in wrote:\n"
-        "                    col[pos] = best\n"
-        "                    won[pos] = par\n",
+        "                for col, best in wrote:\n                    col[pos] = best\n",
         "",
     ),
     (
@@ -69,10 +67,10 @@ MUTANTS = [
         "",
     ),
     (
-        "split tie: a SPLIT that only ties the best offer so far is written",
+        "split tie: a SPLIT that only ties the best offer so far is the parent",
         DP,
-        "if cand > best:",
-        "if cand >= best:",
+        "for c, z in points if z < len(src)]",
+        "for c, z in reversed(points) if z < len(src)]",
     ),
     (
         "bound: a nested leg's largest addend ignores its tails",
@@ -89,26 +87,41 @@ MUTANTS = [
     (
         "own entries: SELF_APPEND from the last leg holding the rest",
         DP,
-        "for x, p, src in zip(*self._legs[v]):",
-        "for x, p, src in reversed(list(zip(*self._legs[v]))):",
+        "for j, leg in enumerate(islice(srcs, cut)):",
+        "for j, leg in (reversed if tag == 'SELF_APPEND' else iter)"
+        "(list(enumerate(islice(srcs, cut)))):",
     ),
     (
         "own entries: a SELF_APPEND on a zero leg",
         DP,
-        "if rest > 0:",
-        "if rest >= 0:",
+        "if val == wt[v]:",
+        "if val == wt[v] and 0 not in [leg[pos] for leg in srcs if pos < len(leg)]:",
     ),
     (
         "TAIL: the last leg holding rq below the cut",
         DP,
-        "j = row.index(rq)",
-        "j = tcut - 1 - row[tcut - 1 :: -1].index(rq)",
+        "for j, leg in enumerate(islice(srcs, cut)):",
+        "for j, leg in (reversed if tag == 'TAIL' else iter)"
+        "(list(enumerate(islice(srcs, cut)))):",
     ),
     (
         "SPLIT: the last leg holding the running max below the cut",
         DP,
-        "sj = row.index(run_v[sc])",
-        "sj = sc - 1 - row[sc - 1 :: -1].index(run_v[sc])",
+        "for j, leg in enumerate(islice(srcs, cut)):",
+        "for j, leg in (reversed if tag == 'SPLIT' else iter)"
+        "(list(enumerate(islice(srcs, cut)))):",
+    ),
+    (
+        "derivation: a leg scan ignores its offer's cut",
+        DP,
+        "enumerate(islice(srcs, cut))",
+        "enumerate(srcs)",
+    ),
+    (
+        "derivation: SPLITs are tried before the TAIL",
+        DP,
+        'offers += [("SPLIT",',
+        'offers[:0] = [("SPLIT",',
     ),
     (
         "answer key: the last column holding the best value",
@@ -119,20 +132,20 @@ MUTANTS = [
     (
         "sharing: a nested leg writes into its stand-in's column",
         DP,
-        "cols[key] = srcs[k].copy()",
-        "cols[key] = srcs[k]",
+        "col = cols[key] = col.copy()",
+        "col = cols[key] = col",
     ),
     (
         "sharing: a TAIL or SPLIT parent reads as COPY",
         DP,
-        "        won = self._wins.get((v, y))\n",
-        "        won = None\n",
+        "if val == src[pos]:",
+        "if True:",
     ),
     (
-        "sharing: a TAIL that only ties its COPY is written",
+        "sharing: an offer that only ties its COPY is written",
         DP,
-        "if w_pair > lim:",
-        "if w_pair >= lim:",
+        "if best > copy:",
+        "if best >= copy:",
     ),
     (
         "split grid: a covered dependent vertex keeps its own left end as ξ",

@@ -30,16 +30,23 @@ is read once per v_i, and every ξ row does flat list work only.
   that list too until a TAIL or SPLIT is strictly heavier in some slot:
   the first such win copies the list (in C) and the sweep writes only the
   winning slots into the copy, so a stand-in's column never changes.
-- Parents are as sparse. For a leg y, ``pcols[v, y]`` is the stand-in p,
-  and every entry is ("COPY", p) except the slots in ``wins[v, y]``, a
-  {ξ position: parent} dict made with the copy, so a column has a list
-  of its own exactly when it has wins. v's own entries keep no parent: the
-  sweep keeps ``legs[v]``, v's earlier neighbors with their stand-ins and
-  the stand-ins' columns, and an own entry is INIT where its value is w_v,
-  else the SELF_APPEND from the earliest leg whose column holds the value
-  minus w_v at that ξ, the leg the sweep took its maximum from. A solve
-  reads about one own-entry parent per path vertex, so it pays for those
-  alone.
+- The sweep writes values only; every parent is derived from them. The
+  sweep keeps ``legs[v]``: v's earlier neighbors, their stand-ins, the
+  stand-ins' columns and v's split points (``()`` if v has no nested
+  leg). A leg entry whose value equals its stand-in's at that ξ is the
+  COPY, since a TAIL or SPLIT is written only where strictly heavier; an
+  own entry whose value is w_v is INIT. Any other entry is the first of
+  v's offers, in the sweep's order, whose value is the entry's: for an own
+  entry the SELF_APPEND, for a leg y its TAIL, then its SPLITs by
+  increasing ζ. An offer is the best value among the legs below its cut
+  plus an addend: w_v (SELF_APPEND), w_v + w_y (TAIL, whose cut counts
+  the legs ending before l_y) or w_v plus y's stand-in value at ζ (SPLIT).
+  No offer exceeds the stored value, the maximum of them all, so an offer
+  equals it exactly where a leg below its cut holds the value minus the
+  addend at ξ, and the earliest such leg is the first that holds the
+  maximum of the legs below the cut: the one the sweep's offer read. A
+  value no offer realizes raises ``CorruptParentChain``. A solve reads
+  about one parent per path vertex, so it pays for those alone.
   ``DpTable.W`` and ``DpTable.parent`` are read-only mappings over these,
   keyed by (ξ position, v, y): ``ColumnView`` and ``ParentView``.
 - Stand-ins come from the sweep. After a dependent v_i is swept, it
@@ -64,13 +71,11 @@ is read once per v_i, and every ξ row does flat list work only.
   above the leg's left end and the leg is dead. Where v_i has a nested
   leg, one pass over a row fills ``run_v[c]``, the best value among the
   first c legs, so every query's value is a list index; each nested y's
-  entry and v_i's own entry are then decided from the row and run_v alone.
-  The leg behind a value is looked up only where a TAIL or SPLIT wins, as
-  ``row.index(run_v[c])``: the first leg holding the best of the first c
-  is the earliest, and run_v[c] is a leg's value, not neg, wherever an
-  offer reading it wins. Rows stop where the longest leg column does: at a
-  higher ξ no leg lies inside ξ, so v_i's own entry is INIT, the value its
-  column starts with.
+  entry and v_i's own entry are then decided from the row and run_v alone,
+  as values: a nested y's entry is written where its best offer is
+  strictly heavier than its COPY. Rows stop where the longest leg column
+  does: at a higher ξ no leg lies inside ξ, so v_i's own entry is INIT,
+  the value its column starts with.
 - Legs-only columns are built in C. A v_i with no nested leg decides only
   its own entry, so its column is ``max`` of each row plus w_vi, in one
   ``map`` over the rows with a zero column in front, which stands for INIT
@@ -98,7 +103,8 @@ is read once per v_i, and every ξ row does flat list work only.
 - Repeated rows are copied where v_i has a nested leg. Columns do not
   increase with ξ, so equal rows come in runs, and a row equal to the one
   before it has the same outcome: v_i's own value is copied from the slot
-  below, and the TAIL and SPLIT wins of that row are written again.
+  below, and the (column, value) pairs of that row's TAIL and SPLIT wins
+  are written again.
 
 Split points are built once per v_i, by ``split_points``, and only if v_i
 has a nested leg. A split at ζ offers run_v[c] + t, where c is the cut
@@ -130,7 +136,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 from operator import add, itemgetter
 
 from .errors import CorruptParentChain, InvalidSpecialPartition
@@ -187,38 +193,49 @@ class ColumnView(Mapping):
 
 class ParentView(ColumnView):
     """Read-only (ξ index, v, y) mapping of parents, with the keys of the
-    value columns. For y != v, ``pcols[v, y]`` is the stand-in p whose entry
-    each (ξ, v, y) copies, read as ("COPY", p), except at the ξ indices in
-    ``wins[v, y]``, which map to the TAIL or SPLIT that was strictly
-    heavier. v's own entry is found from its value: INIT where that is w_v,
-    else SELF_APPEND from the earliest of ``legs[v]`` whose stand-in column
-    holds the rest at that ξ index."""
+    value columns, derived from the values and ``legs`` (see the module
+    notes). A leg entry is ("COPY", p) where its value equals that of y's
+    stand-in p, and an own entry is INIT where its value is w_v. Any other
+    entry is the first offer, in the sweep's order, for which some leg
+    below the offer's cut holds the value minus the offer's addend at ξ,
+    from the earliest such leg; with none, it raises
+    ``CorruptParentChain``."""
 
-    __slots__ = ("_pcols", "_wins", "_legs", "_wt")
+    __slots__ = ("_legs", "_graph")
 
-    def __init__(self, cols: dict, pcols: dict, wins: dict, legs: dict, wt: list):
+    def __init__(self, cols: dict, legs: dict, graph: IntervalGraph):
         super().__init__(cols)
-        self._pcols = pcols
-        self._wins = wins
         self._legs = legs
-        self._wt = wt
+        self._graph = graph
 
     def __getitem__(self, key):
         pos, v, y = key
         col = self._cols.get((v, y))
         if col is None or not 0 <= pos < len(col):
             raise KeyError(key)
+        earlier, stand, srcs, points = self._legs[v]
+        val = col[pos]
+        g = self._graph
+        wt = g.weight
         if v == y:
-            rest = col[pos] - self._wt[v]
-            if rest > 0:
-                for x, p, src in zip(*self._legs[v]):
-                    if pos < len(src) and src[pos] == rest:
-                        return ("SELF_APPEND", x, p)
-            return ("INIT",)
-        won = self._wins.get((v, y))
-        if won is not None and pos in won:
-            return won[pos]
-        return ("COPY", self._pcols[v, y])
+            if val == wt[v]:  # a SELF_APPEND wins only if strictly heavier
+                return ("INIT",)
+            offers = [("SELF_APPEND", len(srcs), wt[v], ())]
+        else:
+            k = g.rank[y] - g.rank[earlier[0]]
+            src = srcs[k]
+            if val == src[pos]:  # a TAIL or SPLIT wins only if strictly heavier
+                return ("COPY", stand[k])
+            # the TAIL's cut counts the legs ending before l_y
+            tcut = bisect_left(earlier, g.left[y], key=g.right.__getitem__)
+            offers = [("TAIL", tcut, wt[v] + wt[y], ())]
+            offers += [("SPLIT", c, wt[v] + src[z], (z, stand[k])) for c, z in points if z < len(src)]
+        for tag, cut, addend, split in offers:
+            rest = val - addend
+            for j, leg in enumerate(islice(srcs, cut)):
+                if pos < len(leg) and leg[pos] == rest:
+                    return (tag, earlier[j], stand[j], *split)
+        raise CorruptParentChain(f"no offer realizes {key}")
 
 
 def split_grid(special: SpecialWeightedIntervalGraph) -> tuple:
@@ -290,9 +307,8 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     # every column ending at y has one slot per ξ <= l_y
     ends = [bisect_right(xs_sorted, left[v]) for v in range(g.n)]
     cols = {}
-    pcols = {}
-    wins = {}
-    # legs[v] = (earlier neighbors, their stand-ins, the stand-ins' columns)
+    # legs[v] = (earlier neighbors, their stand-ins, the stand-ins' columns,
+    # v's split points)
     legs = {}
     # last_b[y] = pi(y, v_i): the last dependent vertex swept so far that
     # overlaps y from above, or y itself
@@ -319,29 +335,26 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
         # c legs.
         srcs = []
         nested = []
-        points = None
+        points = ()
         for k, (y, p) in enumerate(zip(earlier, stand)):
-            key = (vi, y)
-            src = cols[p, y]
+            src = cols[vi, y] = cols[p, y]
             srcs.append(src)
-            pcols[key] = p
-            cols[key] = src
             if left[y] < l_vi:
                 continue
-            if points is None:
+            if not nested:
                 ztop = max(map(ends.__getitem__, earlier))
                 points = split_points(xs_sorted, rights, lo, i, zlo, ztop)
                 zs = [z for _, z in points]
             tcut = bisect_left(rights, left[y], lo, i) - lo
             w_pair = w_vi + wt[y]
-            # (cut below ζ, v_i's weight plus the tail from ζ, ζ)
-            tails = [(c, w_vi + src[z], z) for c, z in points[: bisect_left(zs, ends[y])]]
+            # (cut below ζ, v_i's weight plus the tail from ζ)
+            tails = [(c, w_vi + src[z]) for c, z in points[: bisect_left(zs, ends[y])]]
             # the largest addend of y's offers: tails do not increase with ζ,
             # and the first is at least w_pair, as y alone lies above its ζ
             top = tails[0][1] if tails else w_pair
-            nested.append((key, k, tcut, w_pair, tails, top))
+            nested.append(((vi, y), k, tcut, w_pair, tails, top))
 
-        legs[vi] = (earlier, stand, srcs)
+        legs[vi] = (earlier, stand, srcs, points)
         if not nested:
             # legs only: a row decides v_i's own entry alone, from its maximum;
             # the zero column is INIT, and no leg column is longer than zlo
@@ -362,9 +375,8 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
             if row == prev:
                 # the same row has the same outcome
                 own[pos] = own[pos - 1]
-                for col, won, best, par in wrote:
+                for col, best in wrote:
                     col[pos] = best
-                    won[pos] = par
                 continue
             prev = row
             bv = neg
@@ -373,10 +385,10 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                     bv = val
                 run_v[k] = bv
 
-            # (column, wins, value, parent) of each TAIL or SPLIT this row wrote
+            # (column, value) of each TAIL or SPLIT this row wrote
             wrote = []
             for key, k, tcut, w_pair, tails, top in nested:
-                best = row[k]
+                copy = best = row[k]
                 # every ζ is at most l_y, so no offer reads a cut above tcut,
                 # and no addend at or below lim can beat best
                 rq = run_v[tcut]
@@ -384,34 +396,24 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
                 if top <= lim:
                     # no TAIL or SPLIT can be strictly heavier than the COPY
                     continue
-                par = None
                 if w_pair > lim:
-                    # rq is a leg's value here, and its first holder the earliest
-                    j = row.index(rq)
-                    best, par = rq + w_pair, ("TAIL", earlier[j], stand[j])
+                    best = rq + w_pair
                     lim = w_pair
-                sc = 0  # the winning split's cut; no split wins yet
-                for cut, tail, zpos in tails:
+                for cut, tail in tails:
                     if tail <= lim:
                         # later tails are no larger and read cuts up to tcut
                         break
                     cand = run_v[cut] + tail
                     if cand > best:
-                        best, sc, sz = cand, cut, zpos
+                        best = cand
                         lim = cand - rq
-                if sc:
-                    sj = row.index(run_v[sc])
-                    par = ("SPLIT", earlier[sj], stand[sj], sz, stand[k])
-                if par is not None:
-                    won = wins.get(key)
-                    if won is None:
-                        # the first win: the column stops being the stand-in's
-                        cols[key] = srcs[k].copy()
-                        won = wins[key] = {}
+                if best > copy:
                     col = cols[key]
+                    if col is srcs[k]:
+                        # the first win: the column stops being the stand-in's
+                        col = cols[key] = col.copy()
                     col[pos] = best
-                    won[pos] = par
-                    wrote.append((col, won, best, par))
+                    wrote.append((col, best))
 
             if bv > 0:  # SELF_APPEND is strictly heavier than INIT
                 own[pos] = bv + w_vi
@@ -421,7 +423,7 @@ def max_weight_path(special: SpecialWeightedIntervalGraph) -> DpResult:
     firsts = list(map(itemgetter(0), cols.values()))
     best_key = (0, *keys[firsts.index(max(firsts))])
     table = DpTable(
-        graph=g, Xi=xs_sorted, W=ColumnView(cols), parent=ParentView(cols, pcols, wins, legs, wt)
+        graph=g, Xi=xs_sorted, W=ColumnView(cols), parent=ParentView(cols, legs, g)
     )
     weight = table.W[best_key]
     path = reconstruct(table, best_key)

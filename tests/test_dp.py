@@ -331,7 +331,13 @@ def test_every_table_entry_reconstructs_to_an_optimal_normal_path():
 def leg_stand_ins(table):
     """{(v, y): stand-in} over the leg columns: sweeping v reads the column
     of that stand-in for y, and only that one."""
-    return {key: p for key, p in table.parent._pcols.items() if key[0] != key[1]}
+    cols = table.W._cols
+    stand = {}
+    for v, (earlier, stands, srcs, _) in table.parent._legs.items():
+        for y, p, src in zip(earlier, stands, srcs):
+            assert src is cols[p, y]
+            stand[v, y] = p
+    return stand
 
 
 def test_reads_never_touch_later_vertices():
@@ -374,11 +380,14 @@ def test_dp_builds_no_neighbor_lists():
 
 def golden_specials():
     """Special graphs for the DP against its reference: random small ones,
-    pipeline outputs on heavy-tailed instances and small combs, and those
-    of dense random instances at n = 40..56, the benchmark's range."""
+    pipeline outputs on heavy-tailed instances (up to n = 100) and small
+    combs, and those of dense random instances at n = 40..56, the
+    benchmark's range."""
     lcg = Lcg(404)
     specials = [random_special(lcg) for _ in range(60)]
     graphs = [heavy_tailed(6 + s % 30, 1000 + s) for s in range(100)]
+    # and one large enough for thousands of TAIL and SPLIT wins
+    graphs.append(heavy_tailed(100, 7))
     graphs += small_combs(3)
     graphs += [
         generate(GeneratorSpec(kind="random", n=40 + 8 * (s % 3), seed=700 + s))
@@ -570,7 +579,12 @@ def test_a_win_is_written_again_in_a_run_of_equal_rows():
         table = max_weight_path(sp).table
         cols = table.W._cols
         stand = leg_stand_ins(table)
-        for (v, y), won in table.parent._wins.items():
+        for v, y in stand:
+            won = {}
+            for pos in range(len(cols[v, y])):
+                par = table.parent[pos, v, y]
+                if par[0] in ("TAIL", "SPLIT"):
+                    won[pos] = par
             legs = [cols[p, leg] for (w, leg), p in stand.items() if w == v]
             for pos in won:
                 if pos - 1 in won:
@@ -582,6 +596,23 @@ def test_a_win_is_written_again_in_a_run_of_equal_rows():
                         assert won[pos] == won[pos - 1]
                         return
     pytest.fail("no TAIL or SPLIT win in a run of equal rows")
+
+
+def test_a_tampered_value_has_no_parent():
+    """A won slot of a leg column raised by 1 is heavier than every offer
+    of its row, so no parent realizes it and replaying it raises."""
+    table = max_weight_path(run_stages(heavy_tailed(100, 7)).special).table
+    key = next(
+        (pos, v, y)
+        for (v, y), col in table.W._cols.items()
+        if v != y
+        for pos in range(len(col))
+        if table.parent[pos, v, y][0] in ("TAIL", "SPLIT")
+    )
+    pos, v, y = key
+    table.W._cols[v, y][pos] += 1
+    with pytest.raises(CorruptParentChain, match="no offer realizes"):
+        reconstruct(table, key)
 
 
 def test_invalid_partitions_rejected():
