@@ -14,7 +14,8 @@ records of ``widened``, the first reduction's free vertices ``U``, grid
 reduction's grid ``T`` and bins ``Uji`` (``compute_stage2_families``), the
 records of ``stage1.g_sharp`` and ``special.graph``, the DP's tables ``W``
 and ``parent`` from ``max_weight_path(special)`` (sorted by key), and the
-length, path and non-timing stats of ``longest_path``.
+length, path and non-timing stats of ``longest_path``, its route included.
+It ends with how many instances took each route.
 
 Usage, from a checkout's root:
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -64,6 +66,7 @@ def main(argv: list) -> int:
 
     digest = hashlib.sha256()
     graphs = corpus(generate, GeneratorSpec, build, heavy_tailed, make_comb)
+    routes = Counter()
     for g in graphs:
         st = run_stages(g)
         greedy = approx_deletion_set(st.semi)
@@ -71,6 +74,7 @@ def main(argv: list) -> int:
         fam2 = compute_stage2_families(st.stage1, st.deletion)
         table = max_weight_path(st.special).table
         res = longest_path(g)
+        routes[res.stats["route"]] += 1
         # index fields are hashed by name, as they were first defined
         wn = st.widened.names
 
@@ -102,6 +106,7 @@ def main(argv: list) -> int:
         )
         digest.update(repr(item).encode())
     print(f"{digest.hexdigest()}  {len(graphs)} instances")
+    print("  ".join(f"{route} {count}" for route, count in sorted(routes.items())))
     return 0
 
 

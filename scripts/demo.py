@@ -27,6 +27,8 @@ def main() -> None:
     print(f"longest path: {result.length} vertices")
     print("  " + " ".join(result.path))
     s = result.stats
+    # a certified solve runs no reduction or DP: its sizes are None
+    print(f"route: {s['route']}")
     print(
         f"deletion set {s['d_size']} (greedy {s['d_approx']}), kappa {s['kappa']}, "
         f"dependent side {s['b_size']}, DP entries {s['dp_entries']}"

@@ -87,9 +87,8 @@ MUTANTS = [
     (
         "own entries: SELF_APPEND from the last leg holding the rest",
         DP,
-        "for j, leg in enumerate(islice(srcs, cut)):",
-        "for j, leg in (reversed if tag == 'SELF_APPEND' else iter)"
-        "(list(enumerate(islice(srcs, cut)))):",
+        "for j, leg in enumerate(srcs):",
+        "for j, leg in reversed(list(enumerate(srcs))):",
     ),
     (
         "own entries: a SELF_APPEND on a zero leg",
@@ -164,6 +163,30 @@ MUTANTS = [
         PATHS,
         "if left[w] < rc:",
         "if left[w] < right[w]:",
+    ),
+    (
+        "walk: a component closes one right end early",
+        PATHS,
+        "!= 2 * start - 1:",
+        "!= 2 * start + 1:",
+    ),
+    (
+        "walk: a component as large as the rest does not stop the walk",
+        PATHS,
+        "len(best) < n - start:",
+        "len(best) <= n - start:",
+    ),
+    (
+        "walk: skipped vertices are tried after the unread ones",
+        PATHS,
+        "            if skipped:\n",
+        "            if skipped and pos[2 * sigma[c] + 1] - c == start + len(path):\n",
+    ),
+    (
+        "walk: a budget of 3n reads",
+        PATHS,
+        "room = 2 * n",
+        "room = 3 * n",
     ),
     (
         "extremes: z2 from the first left token in the span",
@@ -244,8 +267,8 @@ MUTANTS = [
     (
         "sentinels: shift the endpoint order by one token",
         INTERVALS,
-        "*map((2).__add__, graph.endpoint_order())",
-        "*map((1).__add__, graph.endpoint_order())",
+        "*[t + 2 for t in order]",
+        "*[t + 1 for t in order]",
     ),
     (
         "validation: accept duplicate endpoints",

@@ -13,7 +13,7 @@ from .intervals import (
 )
 from .matching import decide_matching
 from .oracle import brute_longest_path, brute_max_weight_path
-from .pipeline import PathResult, longest_path
+from .pipeline import PathResult, longest_path, longest_path_by_reductions
 
 __all__ = [
     "IntervalGraph",
@@ -26,6 +26,7 @@ __all__ = [
     "format_intervals",
     "generate",
     "longest_path",
+    "longest_path_by_reductions",
     "normalize_endpoints",
     "parse_intervals",
     "span",

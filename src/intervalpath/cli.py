@@ -122,14 +122,14 @@ def _bench_row(instance_id: str, kind: str, n: int, k: int, seed: int) -> str:
     if graph.n <= SIZE_GUARD:
         oracle = str(brute_longest_path(graph)[0])
     s = result.stats
+    # a certified solve has no reduction sizes: their fields stay empty
+    sizes = ["" if s[key] is None else str(s[key]) for key in ("d_size", "kappa", "b_size")]
     fields = [
         instance_id,
         str(s["n"]),
         str(s["m"]),
         str(seed),
-        str(s["d_size"]),
-        str(s["kappa"]),
-        str(s["b_size"]),
+        *sizes,
         str(result.length),
         str(s["t_preprocess_ns"]),
         str(s["t_reduce1_ns"]),

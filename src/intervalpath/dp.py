@@ -220,16 +220,19 @@ class ParentView(ColumnView):
         if v == y:
             if val == wt[v]:  # a SELF_APPEND wins only if strictly heavier
                 return ("INIT",)
-            offers = [("SELF_APPEND", len(srcs), wt[v], ())]
-        else:
-            k = g.rank[y] - g.rank[earlier[0]]
-            src = srcs[k]
-            if val == src[pos]:  # a TAIL or SPLIT wins only if strictly heavier
-                return ("COPY", stand[k])
-            # the TAIL's cut counts the legs ending before l_y
-            tcut = bisect_left(earlier, g.left[y], key=g.right.__getitem__)
-            offers = [("TAIL", tcut, wt[v] + wt[y], ())]
-            offers += [("SPLIT", c, wt[v] + src[z], (z, stand[k])) for c, z in points if z < len(src)]
+            rest = val - wt[v]
+            for j, leg in enumerate(srcs):
+                if pos < len(leg) and leg[pos] == rest:
+                    return ("SELF_APPEND", earlier[j], stand[j])
+            raise CorruptParentChain(f"no offer realizes {key}")
+        k = g.rank[y] - g.rank[earlier[0]]
+        src = srcs[k]
+        if val == src[pos]:  # a TAIL or SPLIT wins only if strictly heavier
+            return ("COPY", stand[k])
+        # the TAIL's cut counts the legs ending before l_y
+        tcut = bisect_left(earlier, g.left[y], key=g.right.__getitem__)
+        offers = [("TAIL", tcut, wt[v] + wt[y], ())]
+        offers += [("SPLIT", c, wt[v] + src[z], (z, stand[k])) for c, z in points if z < len(src)]
         for tag, cut, addend, split in offers:
             rest = val - addend
             for j, leg in enumerate(islice(srcs, cut)):

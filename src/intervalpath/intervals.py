@@ -383,9 +383,12 @@ def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
     """``graph`` between two isolated zero-weight intervals named ``lo`` and
     ``hi`` (fresh names), which become vertices 0 and n + 1. Every
     coordinate is kept, the endpoint order is extended by the two intervals'
-    tokens without sorting, and name lookups go through ``graph``'s index."""
-    if graph.n:
-        first, last = min(graph.left), max(graph.right)
+    tokens without sorting, and name lookups go through ``graph``'s index.
+    Where ``graph`` has built sigma, the new graph's is that sigma between
+    the two."""
+    order = graph.endpoint_order()
+    if graph.n:  # the first endpoint is a left end, the last a right end
+        first, last = graph.left[order[0] >> 1], graph.right[order[-1] >> 1]
     else:
         first, last = 0, 1
     top = 2 * graph.n + 2
@@ -394,9 +397,11 @@ def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
         [first - 2, *graph.left, last + 1],
         [first - 1, *graph.right, last + 2],
         [0, *graph.weight, 0],
-        [0, 1, *map((2).__add__, graph.endpoint_order()), top, top + 1],
+        [0, 1, *[t + 2 for t in order], top, top + 1],
     )
     out._index = _PaddedIndex(graph.index, lo, hi)
+    if graph._sigma is not None:
+        out._sigma = [0, *[v + 1 for v in graph._sigma], graph.n + 1]
     return out
 
 

@@ -1,13 +1,30 @@
-"""End-to-end longest path: preprocess, reduce twice, run the DP, lift back.
+"""End-to-end longest path by one of two routes, both from the semi-proper
+graph.
+
+``longest_path`` normalizes the input and makes it semi-proper, which keeps
+its vertices, indices and edge set. Then:
+
+- **Certified route** (``stats["route"] == "certified"``): ``greedy_walk``
+  walks the semi-proper graph's right-end order once and returns a
+  Hamiltonian path of a largest component if it finds one. A path through
+  every vertex of a largest component is a longest path, so that is the
+  answer. After parsing this route is linear: normalization and the
+  semi-proper stage cost O(n + m) once the input is sorted, the walk and
+  the final check O(n), and no deletion set, reduction, DP or lift runs.
+- **Reductions route** (``"reductions"``): otherwise, ``run_stages`` finds
+  the deletion set and applies both reductions to that same semi-proper
+  graph, the DP solves the special graph and the lift maps its path back.
+  ``longest_path_by_reductions`` takes this route on every input, so tests
+  and the corpus digest can compare the two.
 
 ``run_stages`` is the only place the stages before the DP are sequenced.
 
 Lifting retraces the reductions in reverse. Every clone group on the DP path
 is swapped back for all of its members at once, and the lifted set is put
 in order by one normalization in G#; collapsed clusters then reinflate in
-place. The lift never patches its output: the final check raises
-``LiftFailure`` if the lifted sequence is not a path of the input realizing
-the computed weight.
+place. Neither route patches its output: the final check raises
+``LiftFailure`` if the path is not a path of the input, on the input's own
+coordinates, with the computed length.
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from .claws import DeletionSet, add_dummies, approx_deletion_set, prune_deletion
 from .dp import max_weight_path
 from .errors import InvalidSpec, LiftFailure, NormalizationFailed
 from .intervals import IntervalGraph, normalize_endpoints
-from .paths import is_path, normalize_path
+from .paths import greedy_walk, is_path, normalize_path
 from .reduce1 import Stage1Result, apply_rule1, compute_stage1_families
 from .reduce2 import (
     SpecialWeightedIntervalGraph,
@@ -57,10 +74,15 @@ class Stages:
     t_reduce2_ns: int
 
 
-def run_stages(graph: IntervalGraph) -> Stages:
-    """Preprocess, find and prune the deletion set, and apply both reductions."""
+def run_stages(graph: IntervalGraph, semi: IntervalGraph | None = None) -> Stages:
+    """Preprocess, find and prune the deletion set, and apply both reductions.
+
+    ``semi`` is the semi-proper graph of ``graph`` when the caller has made
+    it already (``longest_path`` has, for the walk); the stages continue
+    from it, and ``t_preprocess_ns`` counts only what runs here."""
     t0 = time.perf_counter_ns()
-    semi = make_semi_proper(normalize_endpoints(graph))
+    if semi is None:
+        semi = make_semi_proper(normalize_endpoints(graph))
     greedy = approx_deletion_set(semi)
     deletion = prune_deletion_set(semi, greedy)
     d_size = len(deletion.marked)
@@ -127,12 +149,53 @@ def lift_stage1(path: list, stage1: Stage1Result) -> list:
     return out
 
 
-def longest_path(graph: IntervalGraph) -> PathResult:
-    """Longest path of an unweighted interval graph, with stage timings."""
+def _check_unit_weights(graph: IntervalGraph) -> None:
     if graph.weight.count(1) != graph.n:
         raise InvalidSpec("longest_path expects unit weights")
 
-    stages = run_stages(graph)
+
+def longest_path(graph: IntervalGraph) -> PathResult:
+    """Longest path of an unweighted interval graph, with stage timings.
+
+    The certified route answers when the walk finds a Hamiltonian path of a
+    largest component; the reductions route continues from the same
+    semi-proper graph otherwise (module notes). ``stats["route"]`` names
+    the route; on the certified route the reduction sizes are None and the
+    later stage times 0."""
+    _check_unit_weights(graph)
+    t0 = time.perf_counter_ns()
+    semi = make_semi_proper(normalize_endpoints(graph))
+    walk = greedy_walk(semi)
+    t1 = time.perf_counter_ns()
+    if walk is None:
+        return _by_reductions(graph, run_stages(graph, semi), t1 - t0)
+    stats = {
+        "n": graph.n,
+        "m": semi.edge_count(),
+        "route": "certified",
+        "d_size": None,
+        "d_approx": None,
+        "kappa": None,
+        "b_size": None,
+        "dp_entries": None,
+        "t_preprocess_ns": t1 - t0,
+        "t_reduce1_ns": 0,
+        "t_reduce2_ns": 0,
+        "t_dp_ns": 0,
+        "t_lift_ns": 0,
+    }
+    return _checked(graph, walk, len(walk), stats)
+
+
+def longest_path_by_reductions(graph: IntervalGraph) -> PathResult:
+    """``longest_path`` by the reductions route, without the walk."""
+    _check_unit_weights(graph)
+    return _by_reductions(graph, run_stages(graph), 0)
+
+
+def _by_reductions(graph: IntervalGraph, stages: Stages, t_before_ns: int) -> PathResult:
+    """The DP on the special graph and the lift; ``t_before_ns`` is what ran
+    before ``run_stages``."""
     t3 = time.perf_counter_ns()
     outcome = max_weight_path(stages.special)
     t4 = time.perf_counter_ns()
@@ -144,22 +207,26 @@ def longest_path(graph: IntervalGraph) -> PathResult:
     weight = outcome.weight
     if weight != int(weight):
         raise LiftFailure(f"non-integer answer {weight} on unit weights")
-    length = int(weight)
-    if length != len(full_path) or (full_path and not is_path(graph, full_path)):
-        raise LiftFailure("lifted path does not realize the computed weight")
-
     stats = {
         "n": graph.n,
         "m": stages.semi.edge_count(),
+        "route": "reductions",
         "d_size": stages.d_size,
         "d_approx": stages.d_approx,
         "kappa": stages.special.kappa,
         "b_size": len(stages.special.B),
         "dp_entries": len(outcome.table.W),
-        "t_preprocess_ns": stages.t_preprocess_ns,
+        "t_preprocess_ns": t_before_ns + stages.t_preprocess_ns,
         "t_reduce1_ns": stages.t_reduce1_ns,
         "t_reduce2_ns": stages.t_reduce2_ns,
         "t_dp_ns": t4 - t3,
         "t_lift_ns": t5 - t4,
     }
-    return PathResult(length=length, path=full_path, stats=stats)
+    return _checked(graph, full_path, int(weight), stats)
+
+
+def _checked(graph: IntervalGraph, path: list, length: int, stats: dict) -> PathResult:
+    """The final check of either route, on the input's own coordinates."""
+    if length != len(path) or (path and not is_path(graph, path)):
+        raise LiftFailure(f"{stats['route']} path does not realize the computed weight")
+    return PathResult(length=length, path=path, stats=stats)

@@ -414,6 +414,49 @@ def reference_normalize_path(graph: IntervalGraph, vertices) -> list:
     return [graph.names[v] for v in out]
 
 
+def reference_walk(graph: IntervalGraph) -> list | None:
+    """``paths.greedy_walk`` without its read budget, from definitions: the
+    components in sigma order (a prefix of sigma closes one when it ends
+    before the rest starts), each put in order by the neighbor-list greedy,
+    until the largest walked is at least the vertices left."""
+    sigma, n = graph.sigma, graph.n
+    best, start = [], 0
+    while start < n and len(best) < n - start:
+        end = start + 1
+        while end < n and max(graph.right[v] for v in sigma[:end]) > min(
+            graph.left[v] for v in sigma[end:]
+        ):
+            end += 1
+        try:
+            path = reference_normalize_path(graph, [graph.names[v] for v in sigma[start:end]])
+        except NormalizationFailed:
+            return None
+        if len(path) > len(best):
+            best = path
+        start = end
+    return best or None
+
+
+class CountingList(list):
+    """A list that counts its item reads, for a graph's ``left`` column."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def nested_pairs(k: int) -> IntervalGraph:
+    """k long intervals, each containing the same k pairwise-disjoint short
+    ones. The shorts and longs alternate on a Hamiltonian path, but the
+    greedy walk re-reads the skipped shorts at every long: about k^2 / 2
+    reads."""
+    shorts = [(f"s{j}", k + 4 * j, k + 4 * j + 2) for j in range(1, k + 1)]
+    longs = [(f"L{i}", i, 6 * k + 2 + i) for i in range(1, k + 1)]
+    return build(shorts + longs)
+
+
 # The DP's stand-in and leg tables and the DP as it was before its sweep
 # took the stand-ins, neighbors and query cuts from the right-endpoint
 # order, kept verbatim (apart from the DP's name) as test-only references.

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one visible verdict line each.
+"""Acceptance gate: eleven end-to-end checks, one visible verdict line each.
 
 Corpora are generated once per session and shared across criteria; every
 seed is fixed so reruns see the same instances.
@@ -20,7 +20,7 @@ from intervalpath.intervals import normalize_endpoints
 from intervalpath.matching import decide_matching, kernelize
 from intervalpath.oracle import brute_longest_path, brute_max_weight_path
 from intervalpath.paths import is_path
-from intervalpath.pipeline import longest_path, run_stages
+from intervalpath.pipeline import longest_path, longest_path_by_reductions, run_stages
 from intervalpath.reduce2 import compute_stage2_families
 from intervalpath.semiproper import make_semi_proper
 
@@ -48,11 +48,11 @@ def _corpus(name):
     return got
 
 
-def _solved(name):
-    key = ("solved", name)
+def _solved(name, solve=longest_path):
+    key = ("solved", name, solve.__name__)
     got = _cache.get(key)
     if got is None:
-        got = [(g, longest_path(g)) for g in _corpus(name)]
+        got = [(g, solve(g)) for g in _corpus(name)]
         _cache[key] = got
     return got
 
@@ -200,10 +200,11 @@ def test_criterion_5_weight_preserved_stage_by_stage(capsys):
 
 
 def test_criterion_6_lifting_soundness(capsys):
+    """Through the reductions route, so every solve is lifted."""
     runs = 0
     ok = True
     for name in ("random", "proper", "planted"):
-        for g, res in _solved(name):
+        for g, res in _solved(name, longest_path_by_reductions):
             p = res.path
             ok = ok and isinstance(res.length, int)
             ok = ok and len(p) == res.length and len(set(p)) == len(p)
@@ -215,6 +216,26 @@ def test_criterion_6_lifting_soundness(capsys):
     _verdict(
         capsys, 6, "lifted paths realize the reported length", ok,
         f"{runs} solves, all integer-valued",
+    )
+
+
+def test_criterion_11_both_routes_agree(capsys):
+    """``longest_path`` (certified where the walk succeeds) and the
+    reductions route give equal lengths and valid paths on every corpus."""
+    runs = certified = 0
+    ok = True
+    for name in ("random", "proper", "planted"):
+        both = zip(_solved(name), _solved(name, longest_path_by_reductions))
+        for (g, res), (_, red) in both:
+            ok = ok and res.length == red.length
+            ok = ok and red.stats["route"] == "reductions"
+            for r in (res, red):
+                ok = ok and len(r.path) == r.length and (not r.path or is_path(g, r.path))
+            certified += res.stats["route"] == "certified"
+            runs += 1
+    _verdict(
+        capsys, 11, "both routes give the same length", ok,
+        f"{runs} instances, {certified} certified",
     )
 
 

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 
 import intervalpath.cli as cli
 from intervalpath.cli import CSV_HEADER, main
+from intervalpath.intervals import parse_intervals
+from intervalpath.pipeline import longest_path_by_reductions
 
 PATH3_TEXT = "3\na 1 4\nb 3 6\nc 5 8\n"
 STAR5_TEXT = "6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n"
@@ -56,7 +58,11 @@ def test_solve_json(runner, path3_file):
     doc = json.loads(res.output)
     assert doc["length"] == 3
     assert doc["path"] == ["a", "b", "c"]
-    assert doc["stats"]["kappa"] == 722
+    assert doc["stats"]["route"] == "certified"
+    assert doc["stats"]["kappa"] is None
+    # path3's kappa, as the reductions route reports it
+    graph = parse_intervals(Path(path3_file).read_text())
+    assert longest_path_by_reductions(graph).stats["kappa"] == 722
 
 
 def test_solve_missing_file(runner, tmp_path):
@@ -175,6 +181,15 @@ def test_bench_rows(runner):
         fields = ln.split(",")
         assert len(fields) == 14
         assert fields[7] == fields[13]
+
+
+def test_bench_leaves_certified_sizes_empty(runner):
+    """Random n=8 instances are certified: no deletion set, kappa or B."""
+    res = runner.invoke(main, ["bench", "--kind", "random", "--n-list", "8", "--k-list", "0"])
+    assert res.exit_code == 0
+    fields = res.output.splitlines()[1].split(",")
+    assert fields[4:7] == ["", "", ""]
+    assert fields[9:13] == ["0", "0", "0", "0"]
 
 
 def strip_timings(output):

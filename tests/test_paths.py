@@ -2,11 +2,23 @@ import random
 
 import pytest
 
-from helpers import heavy_tailed, is_normal_path, path_sets, reference_normalize_path, small_combs
+from helpers import (
+    CountingList,
+    heavy_tailed,
+    is_normal_path,
+    nested_pairs,
+    path_sets,
+    reference_normalize_path,
+    reference_walk,
+    small_combs,
+)
 from intervalpath.errors import InvalidPath, NormalizationFailed
 from intervalpath.generators import GeneratorSpec, generate
-from intervalpath.paths import is_path, normalize_path
+from intervalpath.intervals import build, normalize_endpoints
+from intervalpath.oracle import brute_longest_path
+from intervalpath.paths import greedy_walk, is_path, normalize_path
 from intervalpath.pipeline import longest_path
+from intervalpath.semiproper import make_semi_proper
 
 
 def test_is_path(path3):
@@ -133,3 +145,85 @@ def test_normal_path_lemma_suite(seed):
     g = generate(GeneratorSpec(kind="random", n=1 + seed % 10, seed=seed * 7 + 1))
     for p in normal_paths_of(g):
         assert lemma_violations(g, p) == []
+
+
+def _walk_counting_reads(g):
+    """``greedy_walk`` on ``g`` with its left ends counted: (walk, reads)."""
+    g.left = CountingList(g.left)
+    return greedy_walk(g), g.left.reads
+
+
+def _random_graphs(count, seed):
+    """Random intervals over a narrow to a wide line: from one dense
+    component to many small ones, nested, proper or mixed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 16)
+        coords = rng.sample(range(1, 6 * n + 2), 2 * n)
+        recs = []
+        for i in range(n):
+            a, b = sorted(coords[2 * i : 2 * i + 2])
+            recs.append((f"v{i}", a, b))
+        yield build(recs)
+
+
+@pytest.mark.parametrize(
+    "graphs, seen",
+    [
+        (lambda: list(_random_graphs(400, 5)), {"certified", "none"}),
+        (lambda: [heavy_tailed(6 + s % 40, 700 + s) for s in range(40)], {"none"}),
+        (
+            lambda: [generate(GeneratorSpec(kind="random", n=1 + s % 60, seed=s)) for s in range(60)],
+            {"certified"},
+        ),
+        (lambda: small_combs(4), {"none"}),
+        (lambda: [nested_pairs(k) for k in range(1, 12)], {"certified", "budget"}),
+    ],
+    ids=["random-lines", "heavy_tailed", "random", "comb", "nested-pairs"],
+)
+def test_walk_is_the_greedy_over_the_components(graphs, seen):
+    """On the semi-proper graph and on the input, the walk returns the
+    neighbor-list greedy's largest component, or None having read exactly
+    its 2n candidates; it never raises and reads at most 2n."""
+    outcomes = set()
+    for g in graphs():
+        for h in (g, make_semi_proper(normalize_endpoints(g))):
+            want = reference_walk(h)
+            got, reads = _walk_counting_reads(h)
+            assert reads <= 2 * h.n
+            assert got == want or (got is None and reads == 2 * h.n), h.records()
+            outcomes.add("certified" if got else "budget" if want else "none")
+    assert outcomes >= seen
+
+
+def test_walk_answers_are_longest_paths():
+    for g in _random_graphs(300, 6):
+        got = greedy_walk(make_semi_proper(normalize_endpoints(g)))
+        if got is not None:
+            assert is_path(g, got)
+            assert len(got) == brute_longest_path(g)[0], g.records()
+
+
+def test_walk_stops_within_its_read_budget():
+    """The shorts are read and skipped, and re-read at every long: the walk
+    gives up after 2n reads, not after about k^2 / 2."""
+    g = nested_pairs(10_000)
+    got, reads = _walk_counting_reads(g)
+    assert got is None and reads == 2 * g.n
+    small = nested_pairs(6)
+    assert reference_walk(small) is not None
+    assert _walk_counting_reads(small)[0] is None
+
+
+def test_walk_stops_at_a_large_enough_component():
+    """The walk takes the first largest component and reads nothing past it
+    once the rest cannot be larger, claws included; a claw first strands it."""
+    path4 = [("a", 1, 4), ("b", 3, 6), ("c", 5, 8), ("d", 7, 10)]
+    claw = [("u", 20, 30), ("x", 21, 22), ("y", 24, 25), ("z", 27, 28)]
+    assert greedy_walk(build(path4 + claw)) == ["a", "b", "c", "d"]
+    assert greedy_walk(build(path4 + [("e", 9, 12)] + claw)) == ["a", "b", "c", "d", "e"]
+    assert greedy_walk(build(claw + [(nm, l + 100, r + 100) for nm, l, r in path4])) is None
+    assert greedy_walk(build([])) is None
+    assert greedy_walk(build([("a", 1, 2)])) == ["a"]
+    # three isolated vertices: the first suffices
+    assert greedy_walk(build([("a", 1, 2), ("b", 3, 4), ("c", 5, 6)])) == ["a"]

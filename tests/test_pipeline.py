@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 import intervalpath
-from helpers import crafted_special, heavy_tailed, is_normal_path, small_combs, total_weight
+from helpers import (
+    crafted_special,
+    heavy_tailed,
+    is_normal_path,
+    nested_pairs,
+    small_combs,
+    total_weight,
+)
 from intervalpath import intervals, pipeline
 from intervalpath.dp import max_weight_path
 from intervalpath.errors import InvalidSpec, LiftFailure
@@ -12,11 +19,18 @@ from intervalpath.generators import GeneratorSpec, Lcg, generate
 from intervalpath.intervals import IntervalGraph, build
 from intervalpath.oracle import brute_longest_path
 from intervalpath.paths import is_path
-from intervalpath.pipeline import lift_stage1, lift_stage2, longest_path, run_stages
+from intervalpath.pipeline import (
+    lift_stage1,
+    lift_stage2,
+    longest_path,
+    longest_path_by_reductions,
+    run_stages,
+)
 
 STAT_KEYS = {
     "n",
     "m",
+    "route",
     "d_size",
     "d_approx",
     "kappa",
@@ -44,7 +58,11 @@ def test_claw4_end_to_end(claw4):
 
 
 def test_stats_keys_and_counts(path3):
-    res = longest_path(path3)
+    """path3 is certified; its reduction sizes come from the reductions route."""
+    certified = longest_path(path3).stats
+    assert certified["route"] == "certified" and set(certified) == STAT_KEYS
+    res = longest_path_by_reductions(path3)
+    assert res.stats["route"] == "reductions"
     assert set(res.stats) == STAT_KEYS
     assert res.stats["n"] == 3
     assert res.stats["m"] == 2
@@ -67,7 +85,11 @@ def test_stats_on_claw(claw4):
 def test_stats_report_the_dp_table_size(fixture, request):
     graph = request.getfixturevalue(fixture)
     want = len(max_weight_path(run_stages(graph).special).table.W)
-    assert longest_path(graph).stats["dp_entries"] == want
+    res = longest_path_by_reductions(graph)
+    assert res.stats["route"] == "reductions"
+    assert res.stats["dp_entries"] == want
+    res = longest_path(graph)
+    assert res.stats["dp_entries"] == (None if res.stats["route"] == "certified" else want)
 
 
 @pytest.mark.parametrize("fixture", ["path3", "claw4"])
@@ -222,7 +244,7 @@ def test_planted_instances_round_trip():
         assert res.stats["m"] == g.edge_count()
         assert is_path(g, res.path)
         assert res.length == len(res.path)
-        assert res.stats["d_size"] <= 8
+        assert longest_path_by_reductions(g).stats["d_size"] <= 8
 
 
 def _intersecting_pairs(g):
@@ -259,13 +281,16 @@ def test_a_solve_builds_no_neighbor_lists(make, monkeypatch):
     monkeypatch.setattr(IntervalGraph, "_build_neighbors", refuse)
     res = longest_path(g)
     assert res.length == len(res.path) and is_path(g, res.path)
+    res = longest_path_by_reductions(g)
+    assert res.length == len(res.path) and is_path(g, res.path)
     assert res.stats["b_size"] > 1
 
 
 def test_each_input_is_sorted_once(monkeypatch):
     """``build`` sorts the input's endpoints once, and the solve reuses that
-    order; after it, a solve sorts only the two small graphs the reductions
-    make, G# and the special graph. The sentinels extend the semi-proper
+    order; after it, a solve by the reductions route sorts only the two
+    small graphs the reductions make, G# and the special graph, and a
+    certified solve sorts nothing. The sentinels extend the semi-proper
     order."""
     records = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)).records()
     calls = []
@@ -280,6 +305,8 @@ def test_each_input_is_sorted_once(monkeypatch):
     assert calls == [len(records)]
     del calls[:]
     res = longest_path(g)
+    assert res.stats["route"] == "certified" and calls == []
+    res = longest_path_by_reductions(g)
     solve_calls = calls[:]
     assert is_path(g, res.path)
     st = run_stages(g)
@@ -291,8 +318,9 @@ def test_each_input_is_sorted_once(monkeypatch):
 def test_only_small_graphs_build_a_name_index(monkeypatch):
     """The input's name index comes from its duplicate-name check; the
     normalized and semi-proper graphs share it and the widened graph looks
-    names up through it, so inside a solve only graphs no larger than G# or
-    the special graph build one."""
+    names up through it, so inside a solve by the reductions route only
+    graphs no larger than G# or the special graph build one, and a certified
+    solve builds none."""
     g = generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4))
     st = run_stages(g)
     limit = max(st.stage1.g_sharp.n, st.special.graph.n)
@@ -306,6 +334,8 @@ def test_only_small_graphs_build_a_name_index(monkeypatch):
 
     monkeypatch.setattr(intervals, "name_index", counting)
     res = longest_path(g)
+    assert res.stats["route"] == "certified" and sizes == []
+    res = longest_path_by_reductions(g)
     assert is_path(g, res.path)
     assert sizes and max(sizes) <= limit, sizes
 
@@ -322,7 +352,7 @@ def test_final_check_rejects_a_lift_that_is_not_a_path(monkeypatch):
 
     monkeypatch.setattr(pipeline, "lift_stage1", swap_first_and_third)
     with pytest.raises(LiftFailure):
-        longest_path(g)
+        longest_path_by_reductions(g)
 
 
 SOLVER_MODULES = ("intervals", "semiproper", "claws", "reduce1", "reduce2", "dp", "paths", "pipeline")
@@ -352,3 +382,62 @@ def test_solver_modules_hold_only_what_runs():
         and not used.get(stmt.name, set()) - {(mod, i)}
     ]
     assert not unused, unused
+
+
+def test_a_hamiltonian_largest_component_before_a_claw_is_certified():
+    """Path components of 4 and then 5 vertices, and a claw as large as the
+    first: the walk certifies the 5-path and never walks the claw."""
+    path4 = [("a", 1, 4, 1), ("b", 3, 6, 1), ("c", 5, 8, 1), ("d", 7, 10, 1)]
+    path5 = [(f"p{i}", 40 + 3 * i, 44 + 3 * i, 1) for i in range(5)]
+    claw = [("u", 20, 30, 1), ("x", 21, 22, 1), ("y", 24, 25, 1), ("z", 27, 28, 1)]
+    late_claw = [(nm, l + 60, r + 60, w) for nm, l, r, w in claw]
+    for records, want in ((path4 + claw, 4), (path4 + path5 + late_claw, 5)):
+        g = build(records)
+        res = longest_path(g)
+        assert res.stats["route"] == "certified"
+        assert res.length == want == brute_longest_path(g)[0]
+        assert is_path(g, res.path)
+        assert longest_path_by_reductions(g).length == want
+
+
+def test_a_claw_before_a_larger_hamiltonian_component_takes_the_reductions_route():
+    claw = [("u", 1, 11, 1), ("x", 2, 3, 1), ("y", 5, 6, 1), ("z", 8, 9, 1)]
+    path5 = [(f"p{i}", 20 + 3 * i, 24 + 3 * i, 1) for i in range(5)]
+    g = build(claw + path5)
+    res = longest_path(g)
+    assert res.stats["route"] == "reductions"
+    assert res.length == 5 == brute_longest_path(g)[0]
+    assert is_path(g, res.path)
+
+
+def test_a_walk_out_of_reads_takes_the_reductions_route():
+    """Twenty longs over the same twenty shorts: Hamiltonian, but the walk
+    runs out of reads, and the reductions route finds the whole graph."""
+    g = nested_pairs(20)
+    res = longest_path(g)
+    assert res.stats["route"] == "reductions"
+    assert res.length == 40 == g.n
+    assert is_path(g, res.path)
+
+
+def test_certified_stats():
+    res = longest_path(generate(GeneratorSpec(kind="planted", n=200, k=3, seed=1)))
+    s = res.stats
+    assert s["route"] == "certified" and res.length == s["n"] == 203
+    assert [s[k] for k in ("d_size", "d_approx", "kappa", "b_size", "dp_entries")] == [None] * 5
+    assert [s[k] for k in ("t_reduce1_ns", "t_reduce2_ns", "t_dp_ns", "t_lift_ns")] == [0] * 4
+    assert s["t_preprocess_ns"] > 0
+
+
+def test_final_check_rejects_a_certified_walk_that_is_not_a_path(monkeypatch):
+    g = build([("a", 1, 4, 1), ("b", 3, 6, 1), ("c", 5, 8, 1), ("d", 7, 10, 1)])
+    walk = pipeline.greedy_walk
+
+    def swap_first_and_third(semi):
+        out = walk(semi)
+        out[0], out[2] = out[2], out[0]
+        return out
+
+    monkeypatch.setattr(pipeline, "greedy_walk", swap_first_and_third)
+    with pytest.raises(LiftFailure, match="certified"):
+        longest_path(g)
