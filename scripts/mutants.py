@@ -37,6 +37,7 @@ INTERVALS = "src/intervalpath/intervals.py"
 PATHS = "src/intervalpath/paths.py"
 RULE1 = "src/intervalpath/reduce1.py"
 RULE2 = "src/intervalpath/reduce2.py"
+PIPELINE = "src/intervalpath/pipeline.py"
 SEMI = "src/intervalpath/semiproper.py"
 
 # (name, file, old text, new text)
@@ -187,6 +188,18 @@ MUTANTS = [
         PATHS,
         "room = 2 * n",
         "room = 3 * n",
+    ),
+    (
+        "walk: an int coordinate compares itself with the left ends",
+        PATHS,
+        "map(lt, tried, repeat(rc))",
+        "map(rc.__gt__, tried)",
+    ),
+    (
+        "the certified route walks the semi-proper graph",
+        PIPELINE,
+        "walk = greedy_walk(graph)",
+        "walk = greedy_walk(make_semi_proper(normalize_endpoints(graph)))",
     ),
     (
         "extremes: z2 from the first left token in the span",

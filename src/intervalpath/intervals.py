@@ -383,9 +383,7 @@ def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
     """``graph`` between two isolated zero-weight intervals named ``lo`` and
     ``hi`` (fresh names), which become vertices 0 and n + 1. Every
     coordinate is kept, the endpoint order is extended by the two intervals'
-    tokens without sorting, and name lookups go through ``graph``'s index.
-    Where ``graph`` has built sigma, the new graph's is that sigma between
-    the two."""
+    tokens without sorting, and name lookups go through ``graph``'s index."""
     order = graph.endpoint_order()
     if graph.n:  # the first endpoint is a left end, the last a right end
         first, last = graph.left[order[0] >> 1], graph.right[order[-1] >> 1]
@@ -400,8 +398,6 @@ def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
         [0, 1, *[t + 2 for t in order], top, top + 1],
     )
     out._index = _PaddedIndex(graph.index, lo, hi)
-    if graph._sigma is not None:
-        out._sigma = [0, *[v + 1 for v in graph._sigma], graph.n + 1]
     return out
 
 

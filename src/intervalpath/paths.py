@@ -22,11 +22,15 @@ off its right-end order sigma, and so decides whether a largest component
 is Hamiltonian: by the normal-path lemma (Ioannidou, Mertzios and
 Nikolopoulos, Algorithmica 2011) a component has a Hamiltonian path
 exactly when the greedy order of its vertex set strands none of them.
-Two facts make the walk linear:
+That holds on any interval model of the graph, so the solver walks the
+input as parsed. Its coordinates may mix ints, floats and Fractions, so
+they are compared with ``operator.lt``, never with a bound ``__gt__``: an
+int's own comparison with a float or a Fraction returns NotImplemented,
+which is truthy. Two facts make the walk linear:
 
 - The first i vertices of sigma are a union of components exactly when the
-  i-th right end is the 2i-th endpoint (on coordinates 1..2n, when it sits
-  on coordinate 2i): then as many left ends as right ends come before it.
+  i-th right end is the 2i-th endpoint, at position 2i - 1 of the endpoint
+  order: then as many left ends as right ends come before it.
 - The vertices starting before the current vertex c ends number p - r, for
   p the position of c's right end and r its rank in sigma. Every vertex of
   an earlier component and every vertex on the path is among them (c was
@@ -40,7 +44,7 @@ Two facts make the walk linear:
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from operator import lt
 
 from .errors import EmptySet, InvalidPath, NormalizationFailed
@@ -114,6 +118,9 @@ def greedy_walk(graph: IntervalGraph) -> list | None:
     is empty, and after 2n candidate reads (each read is one left end
     compared; sigma's are read once each, the skipped ones again at each
     try), so it costs O(n) on every input and a failure costs what it read.
+    How often skipped vertices are re-read depends on the model: nests skip
+    more, so a Hamiltonian graph may run out of reads on one model of it
+    and not on a semi-proper one.
     """
     n = graph.n
     sigma, left, right = graph.sigma, graph.left, graph.right
@@ -142,7 +149,7 @@ def greedy_walk(graph: IntervalGraph) -> list | None:
             if skipped:
                 reads = min(len(skipped), room)
                 tried = map(left.__getitem__, map(sigma.__getitem__, islice(skipped, reads)))
-                k = next(compress(count(), map(rc.__gt__, tried)), -1)
+                k = next(compress(count(), map(lt, tried, repeat(rc))), -1)
                 if k >= 0:
                     room -= k + 1
                     c = skipped[k]
@@ -176,7 +183,7 @@ def greedy_walk(graph: IntervalGraph) -> list | None:
                 break
             if pending:
                 skipped.append(j - 1)
-            k = next(compress(count(j), map(rc.__gt__, islice(lefts, min(room, n - j)))), -1)
+            k = next(compress(count(j), map(lt, islice(lefts, min(room, n - j)), repeat(rc))), -1)
             if k < 0:  # out of reads: an unread vertex meets c
                 return None
             room -= k - j + 1

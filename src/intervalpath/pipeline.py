@@ -1,21 +1,20 @@
-"""End-to-end longest path by one of two routes, both from the semi-proper
-graph.
-
-``longest_path`` normalizes the input and makes it semi-proper, which keeps
-its vertices, indices and edge set. Then:
+"""End-to-end longest path by one of two routes.
 
 - **Certified route** (``stats["route"] == "certified"``): ``greedy_walk``
-  walks the semi-proper graph's right-end order once and returns a
-  Hamiltonian path of a largest component if it finds one. A path through
-  every vertex of a largest component is a longest path, so that is the
-  answer. After parsing this route is linear: normalization and the
-  semi-proper stage cost O(n + m) once the input is sorted, the walk and
-  the final check O(n), and no deletion set, reduction, DP or lift runs.
-- **Reductions route** (``"reductions"``): otherwise, ``run_stages`` finds
-  the deletion set and applies both reductions to that same semi-proper
-  graph, the DP solves the special graph and the lift maps its path back.
-  ``longest_path_by_reductions`` takes this route on every input, so tests
-  and the corpus digest can compare the two.
+  walks the input as parsed, on its own endpoint order, token positions
+  and coordinates, and returns a Hamiltonian path of a largest component
+  if it finds one. A path through every vertex of a largest component is
+  a longest path, so that is the answer. Whether a component has one does
+  not depend on the interval model, so nothing is normalized or made
+  semi-proper first: after parsing this route is linear, the walk and the
+  final check O(n), and ``t_preprocess_ns`` times the walk alone.
+- **Reductions route** (``"reductions"``): otherwise ``run_stages``
+  normalizes the input, makes it semi-proper, finds the deletion set and
+  applies both reductions; the DP solves the special graph and the lift
+  maps its path back. A failed walk costs only what it read and the
+  input's sigma: normalization reuses the token positions the walk
+  cached. ``longest_path_by_reductions`` takes this route on every input,
+  so tests and the corpus digest can compare the two.
 
 ``run_stages`` is the only place the stages before the DP are sequenced.
 
@@ -74,15 +73,11 @@ class Stages:
     t_reduce2_ns: int
 
 
-def run_stages(graph: IntervalGraph, semi: IntervalGraph | None = None) -> Stages:
-    """Preprocess, find and prune the deletion set, and apply both reductions.
-
-    ``semi`` is the semi-proper graph of ``graph`` when the caller has made
-    it already (``longest_path`` has, for the walk); the stages continue
-    from it, and ``t_preprocess_ns`` counts only what runs here."""
+def run_stages(graph: IntervalGraph) -> Stages:
+    """Normalize and make semi-proper, find and prune the deletion set, and
+    apply both reductions."""
     t0 = time.perf_counter_ns()
-    if semi is None:
-        semi = make_semi_proper(normalize_endpoints(graph))
+    semi = make_semi_proper(normalize_endpoints(graph))
     greedy = approx_deletion_set(semi)
     deletion = prune_deletion_set(semi, greedy)
     d_size = len(deletion.marked)
@@ -157,21 +152,22 @@ def _check_unit_weights(graph: IntervalGraph) -> None:
 def longest_path(graph: IntervalGraph) -> PathResult:
     """Longest path of an unweighted interval graph, with stage timings.
 
-    The certified route answers when the walk finds a Hamiltonian path of a
-    largest component; the reductions route continues from the same
-    semi-proper graph otherwise (module notes). ``stats["route"]`` names
-    the route; on the certified route the reduction sizes are None and the
-    later stage times 0."""
+    The certified route answers when the walk over the input finds a
+    Hamiltonian path of a largest component; the reductions route answers
+    otherwise (module notes). ``stats["route"]`` names the route; on the
+    certified route the reduction sizes are None, ``t_preprocess_ns`` times
+    the walk and the later stage times are 0. On the reductions route
+    ``t_preprocess_ns`` adds the failed walk to normalization, the
+    semi-proper stage and the deletion set."""
     _check_unit_weights(graph)
     t0 = time.perf_counter_ns()
-    semi = make_semi_proper(normalize_endpoints(graph))
-    walk = greedy_walk(semi)
+    walk = greedy_walk(graph)
     t1 = time.perf_counter_ns()
     if walk is None:
-        return _by_reductions(graph, run_stages(graph, semi), t1 - t0)
+        return _by_reductions(graph, run_stages(graph), t1 - t0)
     stats = {
         "n": graph.n,
-        "m": semi.edge_count(),
+        "m": graph.edge_count(),
         "route": "certified",
         "d_size": None,
         "d_approx": None,

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -167,6 +168,21 @@ def _random_graphs(count, seed):
         yield build(recs)
 
 
+def _mixed_graphs(count, seed):
+    """Small random inputs whose coordinates mix ints, floats and Fractions,
+    against which an int's own comparison returns NotImplemented."""
+    rng = random.Random(seed)
+    kinds = (int, float, lambda c: Fraction(2 * c + 1, 2))
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        coords = rng.sample(range(1, 60), 2 * n)
+        recs = []
+        for i in range(n):
+            a, b = sorted(coords[2 * i : 2 * i + 2])
+            recs.append((f"v{i}", rng.choice(kinds)(a), rng.choice(kinds)(b)))
+        yield build(recs)
+
+
 @pytest.mark.parametrize(
     "graphs, seen",
     [
@@ -178,8 +194,9 @@ def _random_graphs(count, seed):
         ),
         (lambda: small_combs(4), {"none"}),
         (lambda: [nested_pairs(k) for k in range(1, 12)], {"certified", "budget"}),
+        (lambda: list(_mixed_graphs(300, 11)), {"certified", "none"}),
     ],
-    ids=["random-lines", "heavy_tailed", "random", "comb", "nested-pairs"],
+    ids=["random-lines", "heavy_tailed", "random", "comb", "nested-pairs", "mixed-types"],
 )
 def test_walk_is_the_greedy_over_the_components(graphs, seen):
     """On the semi-proper graph and on the input, the walk returns the
@@ -197,11 +214,15 @@ def test_walk_is_the_greedy_over_the_components(graphs, seen):
 
 
 def test_walk_answers_are_longest_paths():
+    """On the input and on its semi-proper graph alike."""
     for g in _random_graphs(300, 6):
-        got = greedy_walk(make_semi_proper(normalize_endpoints(g)))
-        if got is not None:
+        walks = [greedy_walk(h) for h in (g, make_semi_proper(normalize_endpoints(g)))]
+        walks = [got for got in walks if got is not None]
+        if walks:
+            best = brute_longest_path(g)[0]
+        for got in walks:
             assert is_path(g, got)
-            assert len(got) == brute_longest_path(g)[0], g.records()
+            assert len(got) == best, g.records()
 
 
 def test_walk_stops_within_its_read_budget():

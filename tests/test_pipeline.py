@@ -420,6 +420,38 @@ def test_a_walk_out_of_reads_takes_the_reductions_route():
     assert is_path(g, res.path)
 
 
+@pytest.mark.parametrize(
+    "make, route",
+    [
+        (lambda: generate(GeneratorSpec(kind="planted", n=2000, k=3, seed=4)), "certified"),
+        (lambda: generate(GeneratorSpec(kind="random", n=48, seed=5)), "certified"),
+        (lambda: generate(GeneratorSpec(kind="random", n=300, seed=1)), "certified"),
+        (lambda: small_combs(4)[-1], "reductions"),
+    ],
+    ids=["planted2000", "dense48", "random300", "comb"],
+)
+def test_a_certified_solve_builds_no_semi_proper_graph(make, route, monkeypatch):
+    """The walk reads the input as parsed: a certified solve neither
+    normalizes it nor makes it semi-proper, and a solve by the reductions
+    route does each once."""
+    g = make()
+    calls = []
+    for name in ("make_semi_proper", "normalize_endpoints"):
+
+        def counted(graph, real=getattr(pipeline, name), name=name):
+            calls.append(name)
+            return real(graph)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    res = longest_path(g)
+    assert res.stats["route"] == route
+    assert res.length == len(res.path) and is_path(g, res.path)
+    if route == "certified":
+        assert calls == [] and res.length == g.n
+    else:
+        assert sorted(calls) == ["make_semi_proper", "normalize_endpoints"]
+
+
 def test_certified_stats():
     res = longest_path(generate(GeneratorSpec(kind="planted", n=200, k=3, seed=1)))
     s = res.stats

@@ -185,7 +185,9 @@ def test_greedy_flags_cover_the_output_nesting():
         assert all(f or not a for f, a in zip(flags, after))
 
 
-def test_nesting_runs_once_per_solve(monkeypatch):
+def test_nesting_runs_only_on_a_reductions_solve(monkeypatch):
+    """A certified solve walks the input and never sweeps for nests; a solve
+    by the reductions route sweeps once, in the semi-proper stage."""
     calls = []
 
     def counted(order, pos):
@@ -203,7 +205,10 @@ def test_nesting_runs_once_per_solve(monkeypatch):
         heavy_tailed(60, 5),
         *small_combs(2),
     ]
+    routes = set()
     for g in graphs:
         calls.clear()
-        longest_path(g)
-        assert calls == [2 * g.n]
+        route = longest_path(g).stats["route"]
+        routes.add(route)
+        assert calls == ([] if route == "certified" else [2 * g.n]), route
+    assert routes == {"certified", "reductions"}
