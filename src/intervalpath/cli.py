@@ -1,4 +1,4 @@
-"""Command-line front end: generate, solve, dump reductions, bench, match.
+"""Command-line front end: generate, solve, dump reductions, match.
 
 Exit codes: 0 on success, 2 for usage or parse problems, 3 when oracle
 verification contradicts the solver.
@@ -24,11 +24,6 @@ from .intervals import format_intervals, parse_intervals
 from .matching import matching, parse_edge_list
 from .oracle import SIZE_GUARD, brute_longest_path
 from .pipeline import longest_path, run_stages
-
-CSV_HEADER = (
-    "instance_id,n,m,seed,d_size,kappa,b_size,answer_length,"
-    "t_preprocess_ns,t_reduce1_ns,t_reduce2_ns,t_dp_ns,t_lift_ns,oracle_length"
-)
 
 
 @click.group()
@@ -113,70 +108,6 @@ def reduce(file: str, stage: str) -> None:
     click.echo(format_intervals(out), nl=False)
     for line in notes:
         click.echo(line)
-
-
-def _bench_row(instance_id: str, kind: str, n: int, k: int, seed: int) -> str:
-    graph = generate(GeneratorSpec(kind=kind, n=n, k=k, seed=seed))
-    result = longest_path(graph)
-    oracle = ""
-    if graph.n <= SIZE_GUARD:
-        oracle = str(brute_longest_path(graph)[0])
-    s = result.stats
-    # a certified solve has no reduction sizes: their fields stay empty
-    sizes = ["" if s[key] is None else str(s[key]) for key in ("d_size", "kappa", "b_size")]
-    fields = [
-        instance_id,
-        str(s["n"]),
-        str(s["m"]),
-        str(seed),
-        *sizes,
-        str(result.length),
-        str(s["t_preprocess_ns"]),
-        str(s["t_reduce1_ns"]),
-        str(s["t_reduce2_ns"]),
-        str(s["t_dp_ns"]),
-        str(s["t_lift_ns"]),
-        oracle,
-    ]
-    return ",".join(fields)
-
-
-def _int_list(raw: str, what: str) -> list:
-    items = [p for p in raw.split(",") if p.strip()]
-    if not items:
-        raise click.UsageError(f"empty {what}")
-    try:
-        return [int(p) for p in items]
-    except ValueError as exc:
-        raise click.UsageError(f"bad {what}: {raw!r}") from exc
-
-
-@main.command()
-@click.option("--kind", type=click.Choice(["random", "proper", "planted"]), default="planted", show_default=True)
-@click.option("--n-list", required=True, help="comma-separated vertex counts")
-@click.option("--k-list", required=True, help="comma-separated planted widths")
-@click.option("--reps", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True, help="base seed; rep index added")
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-def bench(kind: str, n_list: str, k_list: str, reps: int, seed: int, csv_path: str | None) -> None:
-    """Run the pipeline over a seeded corpus and emit CSV rows."""
-    ns = _int_list(n_list, "--n-list")
-    ks = _int_list(k_list, "--k-list")
-    if reps < 1:
-        raise click.UsageError("--reps must be at least 1")
-    jobs = []
-    for n in ns:
-        for k in ks:
-            for rep in range(reps):
-                s = seed + rep
-                jobs.append((f"{kind}_n{n}_k{k}_s{s}", kind, n, k, s))
-    rows = [_bench_row(*job) for job in jobs]
-    text = "\n".join([CSV_HEADER, *rows]) + "\n"
-    if csv_path is None:
-        click.echo(text, nl=False)
-    else:
-        Path(csv_path).write_text(text)
-        click.echo(f"wrote {len(rows)} rows to {csv_path}")
 
 
 @main.command()

@@ -9,12 +9,13 @@
   semi-proper first: after parsing this route is linear, the walk and the
   final check O(n), and ``t_preprocess_ns`` times the walk alone.
 - **Reductions route** (``"reductions"``): otherwise ``run_stages``
-  normalizes the input, makes it semi-proper, finds the deletion set and
-  applies both reductions; the DP solves the special graph and the lift
-  maps its path back. A failed walk costs only what it read and the
-  input's sigma: normalization reuses the token positions the walk
-  cached. ``longest_path_by_reductions`` takes this route on every input,
-  so tests and the corpus digest can compare the two.
+  makes the input semi-proper, which renumbers it onto 1..2n with no
+  normalization first, finds the deletion set and applies both
+  reductions; the DP solves the special graph and the lift maps its path
+  back. A failed walk costs only what it read and the input's sigma: the
+  semi-proper stage reuses the token positions the walk cached.
+  ``longest_path_by_reductions`` takes this route on every input, so tests
+  and the corpus digest can compare the two.
 
 ``run_stages`` is the only place the stages before the DP are sequenced.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from .claws import DeletionSet, add_dummies, approx_deletion_set, prune_deletion_set
 from .dp import max_weight_path
 from .errors import InvalidSpec, LiftFailure, NormalizationFailed
-from .intervals import IntervalGraph, normalize_endpoints
+from .intervals import IntervalGraph, normalize_endpoints  # normalize_endpoints: bench hook only
 from .paths import greedy_walk, is_path, normalize_path
 from .reduce1 import Stage1Result, apply_rule1, compute_stage1_families
 from .reduce2 import (
@@ -74,10 +75,10 @@ class Stages:
 
 
 def run_stages(graph: IntervalGraph) -> Stages:
-    """Normalize and make semi-proper, find and prune the deletion set, and
-    apply both reductions."""
+    """Make the input semi-proper, find and prune the deletion set, and apply
+    both reductions."""
     t0 = time.perf_counter_ns()
-    semi = make_semi_proper(normalize_endpoints(graph))
+    semi = make_semi_proper(graph)
     greedy = approx_deletion_set(semi)
     deletion = prune_deletion_set(semi, greedy)
     d_size = len(deletion.marked)
@@ -157,30 +158,15 @@ def longest_path(graph: IntervalGraph) -> PathResult:
     otherwise (module notes). ``stats["route"]`` names the route; on the
     certified route the reduction sizes are None, ``t_preprocess_ns`` times
     the walk and the later stage times are 0. On the reductions route
-    ``t_preprocess_ns`` adds the failed walk to normalization, the
-    semi-proper stage and the deletion set."""
+    ``t_preprocess_ns`` adds the failed walk to the semi-proper stage and
+    the deletion set."""
     _check_unit_weights(graph)
     t0 = time.perf_counter_ns()
     walk = greedy_walk(graph)
     t1 = time.perf_counter_ns()
     if walk is None:
         return _by_reductions(graph, run_stages(graph), t1 - t0)
-    stats = {
-        "n": graph.n,
-        "m": graph.edge_count(),
-        "route": "certified",
-        "d_size": None,
-        "d_approx": None,
-        "kappa": None,
-        "b_size": None,
-        "dp_entries": None,
-        "t_preprocess_ns": t1 - t0,
-        "t_reduce1_ns": 0,
-        "t_reduce2_ns": 0,
-        "t_dp_ns": 0,
-        "t_lift_ns": 0,
-    }
-    return _checked(graph, walk, len(walk), stats)
+    return _checked(graph, walk, len(walk), _stats(graph, t1 - t0))
 
 
 def longest_path_by_reductions(graph: IntervalGraph) -> PathResult:
@@ -203,22 +189,38 @@ def _by_reductions(graph: IntervalGraph, stages: Stages, t_before_ns: int) -> Pa
     weight = outcome.weight
     if weight != int(weight):
         raise LiftFailure(f"non-integer answer {weight} on unit weights")
-    stats = {
-        "n": graph.n,
-        "m": stages.semi.edge_count(),
-        "route": "reductions",
-        "d_size": stages.d_size,
-        "d_approx": stages.d_approx,
-        "kappa": stages.special.kappa,
-        "b_size": len(stages.special.B),
-        "dp_entries": len(outcome.table.W),
-        "t_preprocess_ns": t_before_ns + stages.t_preprocess_ns,
-        "t_reduce1_ns": stages.t_reduce1_ns,
-        "t_reduce2_ns": stages.t_reduce2_ns,
-        "t_dp_ns": t4 - t3,
-        "t_lift_ns": t5 - t4,
-    }
+    t_preprocess_ns = t_before_ns + stages.t_preprocess_ns
+    stats = _stats(graph, t_preprocess_ns, stages, len(outcome.table.W), t4 - t3, t5 - t4)
     return _checked(graph, full_path, int(weight), stats)
+
+
+def _stats(
+    graph: IntervalGraph,
+    t_preprocess_ns: int,
+    stages: Stages | None = None,
+    dp_entries: int | None = None,
+    t_dp_ns: int = 0,
+    t_lift_ns: int = 0,
+) -> dict:
+    """The ``stats`` of a solve by either route, built in one dict. The
+    certified route passes no ``stages``: the sizes it did not compute are
+    None and the times of the stages it did not run are 0."""
+    s = stages
+    return {
+        "n": graph.n,
+        "m": graph.edge_count(),
+        "route": "certified" if s is None else "reductions",
+        "d_size": s.d_size if s else None,
+        "d_approx": s.d_approx if s else None,
+        "kappa": s.special.kappa if s else None,
+        "b_size": len(s.special.B) if s else None,
+        "dp_entries": dp_entries,
+        "t_preprocess_ns": t_preprocess_ns,
+        "t_reduce1_ns": s.t_reduce1_ns if s else 0,
+        "t_reduce2_ns": s.t_reduce2_ns if s else 0,
+        "t_dp_ns": t_dp_ns,
+        "t_lift_ns": t_lift_ns,
+    }
 
 
 def _checked(graph: IntervalGraph, path: list, length: int, stats: dict) -> PathResult:

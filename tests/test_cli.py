@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import intervalpath.cli as cli
-from intervalpath.cli import CSV_HEADER, main
+from intervalpath.cli import main
 from intervalpath.intervals import parse_intervals
 from intervalpath.pipeline import longest_path_by_reductions
 
@@ -63,6 +63,21 @@ def test_solve_json(runner, path3_file):
     # path3's kappa, as the reductions route reports it
     graph = parse_intervals(Path(path3_file).read_text())
     assert longest_path_by_reductions(graph).stats["kappa"] == 722
+
+
+def test_solve_empty_file(runner, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("0\n")
+    res = runner.invoke(main, ["solve", str(f)])
+    assert res.exit_code == 0
+    assert res.output == "0\n"
+
+
+def test_help_lists_the_four_commands(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    listed = [line.split()[0] for line in res.output.split("Commands:\n", 1)[1].splitlines()]
+    assert listed == ["gen", "match", "reduce", "solve"]
 
 
 def test_solve_missing_file(runner, tmp_path):
@@ -159,73 +174,6 @@ def test_reduce_dump_parses_back(runner, path3_file):
 def test_reduce_needs_stage(runner, path3_file):
     res = runner.invoke(main, ["reduce", path3_file])
     assert res.exit_code == 2
-
-
-def test_bench_rows(runner):
-    args = ["bench", "--kind", "random", "--n-list", "6,8", "--k-list", "0", "--reps", "3"]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0
-    lines = res.output.splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 7
-    ids = [ln.split(",", 1)[0] for ln in lines[1:]]
-    assert ids == [
-        "random_n6_k0_s1",
-        "random_n6_k0_s2",
-        "random_n6_k0_s3",
-        "random_n8_k0_s1",
-        "random_n8_k0_s2",
-        "random_n8_k0_s3",
-    ]
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        assert len(fields) == 14
-        assert fields[7] == fields[13]
-
-
-def test_bench_leaves_certified_sizes_empty(runner):
-    """Random n=8 instances are certified: no deletion set, kappa or B."""
-    res = runner.invoke(main, ["bench", "--kind", "random", "--n-list", "8", "--k-list", "0"])
-    assert res.exit_code == 0
-    fields = res.output.splitlines()[1].split(",")
-    assert fields[4:7] == ["", "", ""]
-    assert fields[9:13] == ["0", "0", "0", "0"]
-
-
-def strip_timings(output):
-    rows = []
-    for ln in output.splitlines()[1:]:
-        f = ln.split(",")
-        rows.append(f[:8] + f[13:])
-    return rows
-
-
-def test_bench_deterministic_apart_from_timings(runner):
-    args = ["bench", "--n-list", "12", "--k-list", "1", "--reps", "2"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert strip_timings(first.output) == strip_timings(second.output)
-
-
-def test_bench_csv_file(runner, tmp_path):
-    out = tmp_path / "rows.csv"
-    args = ["bench", "--n-list", "6", "--k-list", "0", "--csv", str(out)]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0
-    assert "wrote 1 rows" in res.output
-    assert out.read_text().splitlines()[0] == CSV_HEADER
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["bench", "--n-list", ",", "--k-list", "1"],
-        ["bench", "--n-list", "6", "--k-list", "x"],
-        ["bench", "--n-list", "6", "--k-list", "1", "--reps", "0"],
-    ],
-)
-def test_bench_usage_errors(runner, args):
-    assert runner.invoke(main, args).exit_code == 2
 
 
 def test_match_no(runner, tmp_path):

@@ -432,8 +432,8 @@ def test_a_walk_out_of_reads_takes_the_reductions_route():
 )
 def test_a_certified_solve_builds_no_semi_proper_graph(make, route, monkeypatch):
     """The walk reads the input as parsed: a certified solve neither
-    normalizes it nor makes it semi-proper, and a solve by the reductions
-    route does each once."""
+    normalizes it nor makes it semi-proper. A solve by the reductions route
+    makes it semi-proper once and normalizes it never."""
     g = make()
     calls = []
     for name in ("make_semi_proper", "normalize_endpoints"):
@@ -449,7 +449,25 @@ def test_a_certified_solve_builds_no_semi_proper_graph(make, route, monkeypatch)
     if route == "certified":
         assert calls == [] and res.length == g.n
     else:
-        assert sorted(calls) == ["make_semi_proper", "normalize_endpoints"]
+        assert calls == ["make_semi_proper"]
+
+
+@pytest.mark.parametrize("solve", [longest_path, longest_path_by_reductions])
+def test_an_empty_input_is_solved_end_to_end(solve):
+    """The walk finds nothing to walk, so both entry points take the
+    reductions route: the semi-proper graph is the input itself, and the
+    special graph holds only the two sentinels."""
+    g = build([])
+    assert run_stages(g).semi is g
+    res = solve(g)
+    assert (res.length, res.path, res.stats["route"]) == (0, [], "reductions")
+    assert res.stats["n"] == res.stats["m"] == res.stats["d_size"] == 0
+    assert res.stats["b_size"] == 2
+
+
+def test_a_single_vertex_input_is_certified():
+    res = longest_path(build([("a", 1, 2)]))
+    assert (res.length, res.path, res.stats["route"]) == (1, ["a"], "certified")
 
 
 def test_certified_stats():
