@@ -278,10 +278,16 @@ MUTANTS = [
         "sorted(centers, key=lambda u: pos[2 * u])",
     ),
     (
-        "sentinels: shift the endpoint order by one token",
+        "sentinels: the low sentinel's tokens after the input's",
         INTERVALS,
-        "*[t + 2 for t in order]",
-        "*[t + 1 for t in order]",
+        "[2 * n, 2 * n + 1, *order, 2 * n + 2, 2 * n + 3]",
+        "[*order, 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3]",
+    ),
+    (
+        "sentinels: the name index sends the low sentinel to n + 1",
+        INTERVALS,
+        "ChainMap({lo: n, hi: n + 1}",
+        "ChainMap({lo: n + 1, hi: n + 1}",
     ),
     (
         "validation: accept duplicate endpoints",

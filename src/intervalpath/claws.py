@@ -52,7 +52,7 @@ class DeletionSet:
     ``marked`` is a subset of it. A set built without the greedy round
     leaves it empty.
     ``dummies`` is None until the two sentinels are appended, then their
-    indices in the widened graph, 0 and n + 1.
+    indices in the widened graph, n and n + 1 for a graph of n vertices.
     """
 
     marked: frozenset
@@ -208,7 +208,8 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
     The low sentinel sits before every endpoint and the high one after, so
     they are isolated, first and last in the right-endpoint order, and both
     join the deletion set. Returns the widened graph (``with_sentinels``),
-    in which every vertex moves one place up, and the deletion set on it.
+    which appends them as vertices n and n + 1 and keeps every other index,
+    and the deletion set on it.
     """
     if deletion.dummies is not None:
         raise DoubleAugment("sentinels already added")
@@ -216,10 +217,5 @@ def add_dummies(graph: IntervalGraph, deletion: DeletionSet):
     lo_name = fresh_name("d0", graph.index)
     hi_name = fresh_name(f"d{len(deletion.marked) + 1}", graph.index)
     widened = with_sentinels(graph, lo_name, hi_name)
-    lo, hi = 0, widened.n - 1
-    out = DeletionSet(
-        frozenset([lo, *map((1).__add__, deletion.marked), hi]),
-        deletion.certificates,
-        (lo, hi),
-    )
-    return widened, out
+    n = graph.n
+    return widened, DeletionSet(deletion.marked | {n, n + 1}, deletion.certificates, (n, n + 1))

@@ -27,7 +27,7 @@ the small graphs after rule 1 are asked for one.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import ChainMap
 from fractions import Fraction
 from itertools import compress
 from operator import lt
@@ -355,49 +355,26 @@ def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
     return renumbered(graph, graph.endpoint_order(), graph._pos)
 
 
-class _PaddedIndex(Mapping):
-    """The name index of a graph whose vertices are those of a graph with
-    index ``inner``, one place up, between a first vertex ``lo`` and a last
-    one ``hi``: a view over ``inner``, made in O(1)."""
-
-    def __init__(self, inner, lo: str, hi: str):
-        self._inner, self._lo, self._hi = inner, lo, hi
-
-    def __getitem__(self, name) -> int:
-        if name == self._lo:
-            return 0
-        if name == self._hi:
-            return len(self._inner) + 1
-        return self._inner[name] + 1
-
-    def __iter__(self):
-        yield self._lo
-        yield from self._inner
-        yield self._hi
-
-    def __len__(self) -> int:
-        return len(self._inner) + 2
-
-
 def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
     """``graph`` between two isolated zero-weight intervals named ``lo`` and
-    ``hi`` (fresh names), which become vertices 0 and n + 1. Every
-    coordinate is kept, the endpoint order is extended by the two intervals'
-    tokens without sorting, and name lookups go through ``graph``'s index."""
+    ``hi`` (fresh names), appended as vertices n and n + 1: every other
+    vertex keeps its index, name and coordinates. The endpoint order is
+    extended by the two intervals' tokens without sorting, and name lookups
+    go through ``graph``'s index."""
     order = graph.endpoint_order()
-    if graph.n:  # the first endpoint is a left end, the last a right end
+    n = graph.n
+    if n:  # the first endpoint is a left end, the last a right end
         first, last = graph.left[order[0] >> 1], graph.right[order[-1] >> 1]
     else:
         first, last = 0, 1
-    top = 2 * graph.n + 2
     out = IntervalGraph(
-        [lo, *graph.names, hi],
-        [first - 2, *graph.left, last + 1],
-        [first - 1, *graph.right, last + 2],
-        [0, *graph.weight, 0],
-        [0, 1, *[t + 2 for t in order], top, top + 1],
+        [*graph.names, lo, hi],
+        [*graph.left, first - 2, last + 1],
+        [*graph.right, first - 1, last + 2],
+        [*graph.weight, 0, 0],
+        [2 * n, 2 * n + 1, *order, 2 * n + 2, 2 * n + 3],
     )
-    out._index = _PaddedIndex(graph.index, lo, hi)
+    out._index = ChainMap({lo: n, hi: n + 1}, graph.index)
     return out
 
 

@@ -57,7 +57,9 @@ class PathResult:
 @dataclass(frozen=True)
 class Stages:
     """What the stages before the DP build, with their timings. ``semi`` is
-    the semi-proper graph the deletion set was found on. ``deletion`` is the
+    the semi-proper graph the deletion set was found on, and ``widened`` is
+    ``semi`` with the two sentinels appended as vertices n and n + 1, so
+    every other vertex has the same index in both. ``deletion`` is the
     pruned set plus the sentinels, as vertex indices of ``widened``;
     ``d_size`` counts it without them, and ``d_approx`` counts the greedy
     set before pruning."""

@@ -237,7 +237,7 @@ def test_add_dummies_path3(path3):
     lo, hi = d.dummies
     assert d.marked == {lo, hi}
     assert g.n == 5
-    assert (lo, hi) == (0, 4)
+    assert (lo, hi) == (3, 4)
     assert g.by_name(g.names[lo]) == lo and g.by_name(g.names[hi]) == hi
     assert g.weight[lo] == 0 and g.weight[hi] == 0
     assert not g.neighbors(lo) and not g.neighbors(hi)

@@ -286,6 +286,38 @@ def test_a_solve_builds_no_neighbor_lists(make, monkeypatch):
     assert res.stats["b_size"] > 1
 
 
+def test_minted_names_avoid_input_names_and_sentinels_come_last():
+    """An input that already uses every base name the solver mints: the
+    sentinels (d0 and d_{|D|+1}), the rule-1 spans (a1, ...) and the clones
+    (c1_1, ...). The widened graph numbers the input's vertices as the
+    semi-proper graph does and appends the sentinels as n and n + 1; every
+    minted name is new, and the answer still matches brute force."""
+    taken = ["d0", "d1", "d2", "a1", "c1_1"]
+    records = generate(GeneratorSpec(kind="random", n=8, seed=1)).records()
+    g = build([(nm, *rest) for nm, (_, *rest) in zip(taken, records)] + records[5:])
+    st = run_stages(g)
+    assert st.d_size == 1 and st.stage1.A
+    assert any(len(grp.clones) > 1 for grp in st.special.groups)
+
+    semi, widened, n = st.semi, st.widened, st.semi.n
+    assert widened.names[:n] == semi.names
+    assert widened.left[:n] == semi.left and widened.right[:n] == semi.right
+    for nm in g.names:
+        assert widened.index[nm] == semi.index[nm]
+    lo, hi = st.deletion.dummies
+    assert (lo, hi) == (n, n + 1)
+    assert widened.index[widened.names[lo]] == n and widened.index[widened.names[hi]] == n + 1
+
+    minted = [widened.names[lo], widened.names[hi], *st.stage1.A]
+    minted += [c for grp in st.special.groups for c in grp.clones]
+    assert len(set(minted)) == len(minted)
+    assert not set(minted) & set(g.names)
+
+    want, _ = brute_longest_path(g)
+    res = longest_path_by_reductions(g)
+    assert res.length == want and is_path(g, res.path)
+
+
 def test_each_input_is_sorted_once(monkeypatch):
     """``build`` sorts the input's endpoints once, and the solve reuses that
     order; after it, a solve by the reductions route sorts only the two
@@ -312,7 +344,7 @@ def test_each_input_is_sorted_once(monkeypatch):
     st = run_stages(g)
     assert solve_calls == [st.stage1.g_sharp.n, st.special.graph.n]
     assert max(solve_calls) < len(records) // 10, solve_calls
-    assert st.widened.endpoint_order()[2:-2] == [t + 2 for t in st.semi.endpoint_order()]
+    assert st.widened.endpoint_order()[2:-2] == st.semi.endpoint_order()
 
 
 def test_only_small_graphs_build_a_name_index(monkeypatch):
