@@ -1,4 +1,4 @@
-"""Print one sha256 over what the solver computes on a fixed 800-instance corpus.
+"""Print sha256 digests of what the solver computes on a fixed 800-instance corpus.
 
 The corpus:
   - 400 ``random`` instances, seed s = 0..399, n = 1 + s % 60;
@@ -15,7 +15,9 @@ reduction's grid ``T`` and bins ``Uji`` (``compute_stage2_families``), the
 records of ``stage1.g_sharp`` and ``special.graph``, the DP's tables ``W``
 and ``parent`` from ``max_weight_path(special)`` (sorted by key), and the
 length, path and non-timing stats of ``longest_path``, its route included.
-It ends with how many instances took each route.
+A second sha256 covers the ``longest_path`` lengths alone, in corpus order,
+so that a change of route can be told apart from a change of answer. The
+output ends with how many instances took each route.
 
 Usage, from a checkout's root:
 
@@ -64,7 +66,7 @@ def main(argv: list) -> int:
     from intervalpath.pipeline import longest_path, run_stages
     from intervalpath.reduce2 import compute_stage2_families
 
-    digest = hashlib.sha256()
+    digest, lengths = hashlib.sha256(), hashlib.sha256()
     graphs = corpus(generate, GeneratorSpec, build, heavy_tailed, make_comb)
     routes = Counter()
     for g in graphs:
@@ -105,7 +107,9 @@ def main(argv: list) -> int:
             sorted((k, v) for k, v in res.stats.items() if not k.startswith("t_")),
         )
         digest.update(repr(item).encode())
+        lengths.update(f"{res.length}\n".encode())
     print(f"{digest.hexdigest()}  {len(graphs)} instances")
+    print(f"{lengths.hexdigest()}  lengths")
     print("  ".join(f"{route} {count}" for route, count in sorted(routes.items())))
     return 0
 

@@ -178,22 +178,22 @@ MUTANTS = [
         "len(best) <= n - start:",
     ),
     (
-        "walk: skipped vertices are tried after the unread ones",
+        "walk: the tree of skipped vertices is tried after the unread ones",
         PATHS,
-        "            if skipped:\n",
-        "            if skipped and pos[2 * sigma[c] + 1] - c == start + len(path):\n",
+        "            if tree and lt(tree[1], inf):\n",
+        "            if tree and lt(tree[1], inf) and pos[2 * sigma[c] + 1] - c == start + len(path):\n",
     ),
     (
-        "walk: a budget of 3n reads",
+        "walk: the descent goes right when the left child qualifies too",
         PATHS,
-        "room = 2 * n",
-        "room = 3 * n",
+        "i = 2 * i + (not lt(tree[2 * i], x))",
+        "i = 2 * i + lt(tree[2 * i + 1], x)",
     ),
     (
-        "walk: an int coordinate compares itself with the left ends",
+        "walk: the tree's root compares with the coordinate's bound __gt__",
         PATHS,
-        "map(lt, tried, repeat(rc))",
-        "map(rc.__gt__, tried)",
+        "if not lt(tree[1], x):",
+        "if not x.__gt__(tree[1]):",
     ),
     (
         "the certified route walks the semi-proper graph",

@@ -26,7 +26,8 @@ That holds on any interval model of the graph, so the solver walks the
 input as parsed. Its coordinates may mix ints, floats and Fractions, so
 they are compared with ``operator.lt``, never with a bound ``__gt__``: an
 int's own comparison with a float or a Fraction returns NotImplemented,
-which is truthy. Two facts make the walk linear:
+which is truthy; the same holds for the float +inf in the walk's tree.
+Two facts let one pass over sigma decide each component:
 
 - The first i vertices of sigma are a union of components exactly when the
   i-th right end is the 2i-th endpoint, at position 2i - 1 of the endpoint
@@ -39,12 +40,21 @@ which is truthy. Two facts make the walk linear:
   tried none of them is. So some unread vertex meets c exactly when p - r exceeds
   the earlier components' size plus the path's length, which settles a
   stranded walk without reading the rest of sigma.
+
+The skipped vertices enter in increasing sigma position, and the walk tries
+them in that order, so they sit in a min tree of left ends over sigma
+positions: the first skipped vertex that starts before c ends is one
+descent, and taking it resets its leaf to +inf. Each left end is read once
+from sigma and at most once more when it is skipped, so the walk is
+O(n log n) on every input, and it decides every component it reaches. The
+tree is made at the first skip, so a walk that skips nothing, as on the
+planted benchmark inputs, costs only its runs along sigma.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress, count, islice, repeat
+from math import inf
 from operator import lt
 
 from .errors import EmptySet, InvalidPath, NormalizationFailed
@@ -100,6 +110,26 @@ def normalize_path(graph: IntervalGraph, vertices) -> list:
     return [graph.names[v] for v in out]
 
 
+def _put(tree: list, i: int, value) -> None:
+    """Set leaf i of a min tree and restore the minima above it."""
+    i += len(tree) >> 1
+    tree[i] = value
+    while i > 1:
+        i >>= 1
+        a, b = tree[2 * i], tree[2 * i + 1]
+        tree[i] = b if lt(b, a) else a
+
+
+def _first_below(tree: list, x) -> int:
+    """The first leaf of a min tree that holds a value below x, or -1."""
+    if not lt(tree[1], x):
+        return -1
+    i, half = 1, len(tree) >> 1
+    while i < half:  # go left when the left child holds one
+        i = 2 * i + (not lt(tree[2 * i], x))
+    return i - half
+
+
 def greedy_walk(graph: IntervalGraph) -> list | None:
     """A Hamiltonian path of a largest component, by name, or None.
 
@@ -114,13 +144,10 @@ def greedy_walk(graph: IntervalGraph) -> list | None:
     largest component walked has at least as many vertices as remain from
     the next component's start, and returns it.
 
-    It returns None when a component strands the walk first, when the graph
-    is empty, and after 2n candidate reads (each read is one left end
-    compared; sigma's are read once each, the skipped ones again at each
-    try), so it costs O(n) on every input and a failure costs what it read.
-    How often skipped vertices are re-read depends on the model: nests skip
-    more, so a Hamiltonian graph may run out of reads on one model of it
-    and not on a semi-proper one.
+    It returns None when a component strands the walk first, and when the
+    graph is empty; it never gives up otherwise. The skipped vertices wait
+    in a min tree of their left ends, so each left end is read at most
+    twice and the walk is O(n log n) (module notes).
     """
     n = graph.n
     sigma, left, right = graph.sigma, graph.left, graph.right
@@ -130,64 +157,50 @@ def greedy_walk(graph: IntervalGraph) -> list | None:
     lefts = map(left.__getitem__, sigma)
     rights = map(right.__getitem__, sigma)
     behind = 0
-    room = 2 * n
+    # the skipped vertices' left ends by sigma position, inf where none
+    # waits, so some vertex waits exactly when the root is below inf; made
+    # at the first skip
+    tree: list = []
     best: list = []
     start = j = 0
     while start < n and len(best) < n - start:
         if j == start:  # else the run that closed the last component read it
-            if not room:
-                return None
             next(lefts)
             j += 1
-            room -= 1
-        # skipped: sigma positions in order; taking the k-th from a deque
-        # costs O(k), no more than the reads that found it
-        c, path, skipped = start, [sigma[start]], deque()
+        c, path = start, [sigma[start]]
         while True:
             rc = right[sigma[c]]
             pending = False
-            if skipped:
-                reads = min(len(skipped), room)
-                tried = map(left.__getitem__, map(sigma.__getitem__, islice(skipped, reads)))
-                k = next(compress(count(), map(lt, tried, repeat(rc))), -1)
+            if tree and lt(tree[1], inf):
+                k = _first_below(tree, rc)
                 if k >= 0:
-                    room -= k + 1
-                    c = skipped[k]
-                    del skipped[k]
+                    _put(tree, k, inf)
+                    c = k
                     path.append(sigma[c])
                     continue
-                if reads < len(skipped):
-                    return None
-                room -= reads
             elif c == j - 1:
                 if c > behind:
                     next(islice(rights, c - behind, c - behind), None)
-                reads = min(room, n - j)
-                k = next(compress(count(j), map(lt, rights, islice(lefts, reads))), -1)
-                if k < 0:  # read up to sigma's end, or out of reads
-                    if reads < n - j:
-                        return None
+                k = next(compress(count(j), map(lt, rights, lefts)), -1)
+                if k < 0:  # read up to sigma's end
                     path += sigma[j:]
                     start = n
                     break
                 # sigma[k] misses sigma[k - 1]: it waits, or starts the next component
                 path += sigma[j:k]
-                room -= k - j + 1
                 behind, c, j = k, k - 1, k + 1
                 rc = right[sigma[c]]
                 pending = True
             if pos[2 * sigma[c] + 1] - c == start + len(path):  # no unread vertex meets c
                 start = j - pending
-                if skipped or pos[2 * sigma[start - 1] + 1] != 2 * start - 1:
+                if tree and lt(tree[1], inf) or pos[2 * sigma[start - 1] + 1] != 2 * start - 1:
                     return None
                 break
-            if pending:
-                skipped.append(j - 1)
-            k = next(compress(count(j), map(lt, islice(lefts, min(room, n - j)), repeat(rc))), -1)
-            if k < 0:  # out of reads: an unread vertex meets c
-                return None
-            room -= k - j + 1
-            skipped.extend(range(j, k))
+            # an unread vertex meets c; the ones before it, and a pending one, wait
+            k = next(compress(count(j), map(lt, lefts, repeat(rc))))
+            tree = tree or [inf] * (2 << (n - 1).bit_length())
+            for i in range(j - pending, k):
+                _put(tree, i, left[sigma[i]])
             c, j = k, k + 1
             path.append(sigma[c])
         if len(path) > len(best):

@@ -6,7 +6,7 @@
   if it finds one. A path through every vertex of a largest component is
   a longest path, so that is the answer. Whether a component has one does
   not depend on the interval model, so nothing is normalized or made
-  semi-proper first: after parsing this route is linear, the walk and the
+  semi-proper first: after parsing the walk costs O(n log n) and the
   final check O(n), and ``t_preprocess_ns`` times the walk alone.
 - **Reductions route** (``"reductions"``): otherwise ``run_stages``
   makes the input semi-proper, which renumbers it onto 1..2n with no

@@ -415,10 +415,11 @@ def reference_normalize_path(graph: IntervalGraph, vertices) -> list:
 
 
 def reference_walk(graph: IntervalGraph) -> list | None:
-    """``paths.greedy_walk`` without its read budget, from definitions: the
+    """What ``paths.greedy_walk`` must return, from definitions: the
     components in sigma order (a prefix of sigma closes one when it ends
     before the rest starts), each put in order by the neighbor-list greedy,
-    until the largest walked is at least the vertices left."""
+    until the largest walked is at least the vertices left; None when one
+    of them strands the greedy first."""
     sigma, n = graph.sigma, graph.n
     best, start = [], 0
     while start < n and len(best) < n - start:
@@ -449,9 +450,10 @@ class CountingList(list):
 
 def nested_pairs(k: int) -> IntervalGraph:
     """k long intervals, each containing the same k pairwise-disjoint short
-    ones. The shorts and longs alternate on a Hamiltonian path, but the
-    greedy walk re-reads the skipped shorts at every long: about k^2 / 2
-    reads."""
+    ones. The shorts and longs alternate on a Hamiltonian path, and the
+    greedy walk skips every short but the first before it reaches a long:
+    trying the skipped shorts in turn at every short would read about
+    k^2 / 2 left ends."""
     shorts = [(f"s{j}", k + 4 * j, k + 4 * j + 2) for j in range(1, k + 1)]
     longs = [(f"L{i}", i, 6 * k + 2 + i) for i in range(1, k + 1)]
     return build(shorts + longs)

@@ -442,14 +442,15 @@ def test_a_claw_before_a_larger_hamiltonian_component_takes_the_reductions_route
     assert is_path(g, res.path)
 
 
-def test_a_walk_out_of_reads_takes_the_reductions_route():
-    """Twenty longs over the same twenty shorts: Hamiltonian, but the walk
-    runs out of reads, and the reductions route finds the whole graph."""
+def test_nested_pairs_take_the_certified_route():
+    """Twenty longs over the same twenty shorts: Hamiltonian, so the walk
+    certifies the whole graph, and the reductions route agrees."""
     g = nested_pairs(20)
     res = longest_path(g)
-    assert res.stats["route"] == "reductions"
+    assert res.stats["route"] == "certified"
     assert res.length == 40 == g.n
     assert is_path(g, res.path)
+    assert longest_path_by_reductions(g).length == 40
 
 
 @pytest.mark.parametrize(
