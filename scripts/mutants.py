@@ -214,6 +214,12 @@ MUTANTS = [
         "    for p in range(hi - 1, lo, -1):\n        t = order[p]\n        if t & 1",
     ),
     (
+        "semi-proper: the output is handed empty nest flags",
+        SEMI,
+        "nests=nests",
+        "nests=[False] * graph.n",
+    ),
+    (
         "semi-proper: left-end scan stops before r_z1",
         SEMI,
         "in_order[in_pos[2 * u] + 1 : in_pos[2 * z1 + 1]]",
@@ -256,7 +262,7 @@ MUTANTS = [
     (
         "rule 1: waterline never rises",
         RULE1,
-        "        if last >= 0:\n            waterline = max(waterline, right[last])\n",
+        "            if last >= 0:\n                waterline = max(waterline, right[last])\n",
         "",
     ),
     (

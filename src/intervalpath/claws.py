@@ -20,8 +20,9 @@ from ``span_extremes`` in ``intervals``, the scanner semi-proper uses too.
 A claw's center strictly contains its middle leaf, so only an interval that
 contains another can center one. The greedy and the pruning therefore look
 only at the vertices ``nest_flags()`` names and at their spans, never at
-the whole endpoint order; on the semi-proper graph those flags come from
-``make_semi_proper`` and cover every interval that contains another.
+the whole endpoint order; on the semi-proper graph those flags are its
+input's, handed over by ``make_semi_proper``, and cover every interval that
+contains another, since stretching creates no containment.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def approx_deletion_set(graph: IntervalGraph) -> DeletionSet:
     needs at least a quarter of what this returns.
     A center strictly contains its middle leaf, so the pass visits only the
     vertices ``graph.nest_flags()`` names, sorted by right end: after
-    ``make_semi_proper`` these are the flags it handed over, so neither
+    ``make_semi_proper`` these are its input's flags, so neither
     ``nesting`` nor the right-endpoint order of the graph is computed.
     """
     alive = [True] * graph.n

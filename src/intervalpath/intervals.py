@@ -18,9 +18,13 @@ generators, library callers. A stage that derives a graph from one that is
 already valid keeps validity by construction and calls the ``IntervalGraph``
 constructor (or ``from_endpoint_order``) directly.
 
-Names live at the edges. The input's name index is the dict its duplicate
-check fills; a graph with the same vertices shares it (``renumbered``), and
-the graph with the sentinels looks names up through it (``with_sentinels``).
+A graph receives what its maker already computed at construction: the
+constructor's keywords ``index``, ``pos`` and ``nests`` hand over the name
+index, the token positions and the nest flags, and no stage patches a graph
+after it is made. Names live at the edges. The input's name index is the
+dict its duplicate check fills; a graph with the same vertices is handed it
+(``normalize_endpoints``, ``make_semi_proper``), and the graph with the
+sentinels is handed one that looks names up through it (``with_sentinels``).
 Every other graph builds its index on first use, and inside a solve only
 the small graphs after rule 1 are asked for one.
 """
@@ -55,10 +59,11 @@ class IntervalGraph:
     ``order`` is the endpoint order of ``left`` and ``right``, which every
     caller already has. ``sigma`` is read off its right-end tokens, so the
     constructor sorts nothing. It computes nothing either: ``sigma``,
-    ``rank``, ``index`` and the token positions are built on first use, and
-    a stage that derives a graph with the same vertices hands over those it
-    already has (``renumbered``). The constructor keeps the lists it is given
-    and trusts them; ``build`` is the validating entry point.
+    ``rank``, ``index``, the token positions and the nest flags are built on
+    first use, unless the maker hands over the last three, which it already
+    has, as the keywords ``index``, ``pos`` and ``nests``. The constructor
+    keeps what it is given and trusts it; ``build`` is the validating entry
+    point.
 
     Treat instances as frozen: every transformation builds a new graph.
     """
@@ -68,13 +73,14 @@ class IntervalGraph:
         "_sigma", "_rank", "_index", "_nbrs", "_order", "_pos", "_nests",
     )
 
-    def __init__(self, names, left, right, weight, order):
+    def __init__(self, names, left, right, weight, order, *, index=None, pos=None, nests=None):
         self.names = names
         self.left = left
         self.right = right
         self.weight = weight
         self._order = order
-        self._sigma = self._rank = self._index = self._nbrs = self._pos = self._nests = None
+        self._index, self._pos, self._nests = index, pos, nests
+        self._sigma = self._rank = self._nbrs = None
 
     @property
     def n(self) -> int:
@@ -123,7 +129,8 @@ class IntervalGraph:
 
     def nest_flags(self) -> list:
         """``nesting``, or a superset of it handed over by the stage that made
-        the graph (``make_semi_proper``). Shared and cached: do not mutate."""
+        the graph: ``make_semi_proper`` hands over its input's flags. Shared
+        and cached: do not mutate."""
         if self._nests is None:
             self._nests = nesting(self._order, self.endpoint_positions())
         return self._nests
@@ -227,9 +234,7 @@ def _validated(names, lefts, rights, weights) -> IntervalGraph:
             if c in seen:
                 raise DuplicateEndpoint(str(c))
             seen.add(c)
-    graph = IntervalGraph(names, lefts, rights, weights, token_order(lefts, rights))
-    graph._index = index
-    return graph
+    return IntervalGraph(names, lefts, rights, weights, token_order(lefts, rights), index=index)
 
 
 def span(graph: IntervalGraph, vertices) -> tuple:
@@ -292,19 +297,18 @@ def span_extremes(order, pos, u: int, alive) -> tuple:
     return z1, z2
 
 
-def from_endpoint_order(names, order, weight, pos=None) -> IntervalGraph:
+def from_endpoint_order(names, order, weight, pos=None, *, index=None, nests=None) -> IntervalGraph:
     """The graph on 1..2n whose endpoints, read in increasing order, are the
     tokens of ``order``, which it keeps as its endpoint order (position p is
     coordinate p + 1); names and weights are taken as they are. It sorts
     nothing, and keeps the token positions: ``pos`` when the caller has
-    them, else computed here."""
+    them, else computed here. ``index`` and ``nests`` go to the constructor."""
     if pos is None:
         pos = token_positions(order)
-    graph = IntervalGraph(
-        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order
+    return IntervalGraph(
+        names, [p + 1 for p in pos[0::2]], [p + 1 for p in pos[1::2]], weight, order,
+        index=index, pos=pos, nests=nests,
     )
-    graph._pos = pos
-    return graph
 
 
 def swap_spans(g: IntervalGraph, groups) -> IntervalGraph:
@@ -338,21 +342,14 @@ def swap_spans(g: IntervalGraph, groups) -> IntervalGraph:
     return from_endpoint_order(names, token_order(lefts, rights), weights)
 
 
-def renumbered(graph: IntervalGraph, order, pos=None) -> IntervalGraph:
-    """``graph``'s vertices, names and weights laid out on 1..2n by a new
-    endpoint order (see ``from_endpoint_order``). The numbering of the
-    vertices does not change, so the name index is shared, not rebuilt."""
-    out = from_endpoint_order(graph.names, order, graph.weight, pos)
-    out._index = graph._index
-    return out
-
-
 def normalize_endpoints(graph: IntervalGraph) -> IntervalGraph:
     """Order-preserving remap of all 2n endpoints onto 1..2n (idempotent).
 
     Input and output share one endpoint order, the one ``build`` sorted, and
-    the token positions if the input has them yet."""
-    return renumbered(graph, graph.endpoint_order(), graph._pos)
+    the name index and token positions if the input has them yet."""
+    return from_endpoint_order(
+        graph.names, graph.endpoint_order(), graph.weight, graph._pos, index=graph._index
+    )
 
 
 def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
@@ -367,15 +364,14 @@ def with_sentinels(graph: IntervalGraph, lo: str, hi: str) -> IntervalGraph:
         first, last = graph.left[order[0] >> 1], graph.right[order[-1] >> 1]
     else:
         first, last = 0, 1
-    out = IntervalGraph(
+    return IntervalGraph(
         [*graph.names, lo, hi],
         [*graph.left, first - 2, last + 1],
         [*graph.right, first - 1, last + 2],
         [*graph.weight, 0, 0],
         [2 * n, 2 * n + 1, *order, 2 * n + 2, 2 * n + 3],
+        index=ChainMap({lo: n, hi: n + 1}, graph.index),
     )
-    out._index = ChainMap({lo: n, hi: n + 1}, graph.index)
-    return out
 
 
 def fresh_name(base: str, taken) -> str:

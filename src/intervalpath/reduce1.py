@@ -83,16 +83,12 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
     r_list = sorted(right[d] for d in d_set)
     l_list = sorted(left[d] for d in d_set)
 
-    # The cells in order, each with its key, its upper split point and the
-    # deletion right its row starts at.
-    li, keys, tops, floors = {}, [], [], []
+    # Row i runs between two consecutive deletion rights; its split points
+    # are those two and every deletion left between them.
+    li = {}
     for i in range(1, len(r_list)):
         lo, hi = r_list[i - 1], r_list[i]
         li[i] = (lo, *l_list[bisect_right(l_list, lo) : bisect_left(l_list, hi)], hi)
-        for x in range(1, len(li[i])):
-            keys.append((i, x))
-            tops.append(li[i][x])
-            floors.append(lo)
 
     # A free vertex goes to the cell holding its right end when its left end
     # lies in the same row, i.e. when it crosses no deletion right. The free
@@ -105,29 +101,29 @@ def compute_stage1_families(graph: IntervalGraph, deletion) -> Stage1Families:
     # below it reach back over an earlier cell and are dropped.
     components, s1 = {}, []
     start = 0
-    for (i, x), floor, top in zip(keys, floors, tops):
-        end = bisect_left(u_rights, top, start)
-        if x == 1:
-            waterline = floor
-        runs, last, reach = [], -1, None
-        for v in u_idx[start:end]:
-            lv = left[v]
-            if lv <= floor:
-                continue
-            last = v
-            if lv <= waterline:
-                continue
-            if runs and lv < reach:
-                runs[-1].append(v)
-            else:
-                runs.append([v])
-            reach = right[v]
-        if last >= 0:
-            waterline = max(waterline, right[last])
-        start = end
-        runs = tuple(map(tuple, runs))
-        components[(i, x)] = runs
-        s1.extend(runs)
+    for i, marks in li.items():
+        floor = waterline = marks[0]
+        for x in range(1, len(marks)):
+            end = bisect_left(u_rights, marks[x], start)
+            runs, last, reach = [], -1, None
+            for v in u_idx[start:end]:
+                lv = left[v]
+                if lv <= floor:
+                    continue
+                last = v
+                if lv <= waterline:
+                    continue
+                if runs and lv < reach:
+                    runs[-1].append(v)
+                else:
+                    runs.append([v])
+                reach = right[v]
+            if last >= 0:
+                waterline = max(waterline, right[last])
+            start = end
+            runs = tuple(map(tuple, runs))
+            components[(i, x)] = runs
+            s1.extend(runs)
 
     return Stage1Families(
         U=tuple(u_idx), D=d_set, Li=li, components=components, S1=tuple(s1)

@@ -16,12 +16,12 @@ endpoint order (tokens 2v and 2v + 1, see ``intervals``), sorted once and
 kept on the graph, and a position per token. After that sort everything is
 linear in n + m, so the stage costs O(n log n + m):
 
-- One backward sweep (``nesting``) marks the intervals that contain
-  another, and the loop visits only those centers, sorted by right end.
-  Every vertex a center stretches lies inside it, so it ends before that
-  center and its turn has passed (fact 1): no center has moved when its
-  turn comes, its span then holds a subset of its input span's tokens, and
-  the loop never reads the flags it sets.
+- The input's nest flags (``nest_flags``, one backward sweep) mark the
+  intervals that contain another, and the loop visits only those centers,
+  sorted by right end. Every vertex a center stretches lies inside it, so
+  it ends before that center and its turn has passed (fact 1): no center
+  has moved when its turn comes, and its span then holds a subset of its
+  input span's tokens.
 - A center that nests in the input has a left and a right end inside its
   input span (fact 2), so z1(u), the owner of the first right end there,
   and z2(u), the owner of the last left end, always exist. They are found
@@ -44,17 +44,23 @@ linear in n + m, so the stage costs O(n log n + m):
 
 The output places the token at position p on coordinate p + 1; it keeps
 the input's names, weights and name index, and the positions kept up to
-date during the sweep. Intervals only grow, so an output interval contains
-another only if it did in the input or was stretched (fact 3). The output
-keeps those flags as its ``nest_flags``, which the greedy deletion set
-reads, so ``nesting`` runs once per solve.
+date during the sweep. Stretching creates no containment (fact 3).
+Intervals only grow, so a stretched interval can newly contain only one
+its moved end passes over. When center u moves v's right end to just past
+r_u, such an interval ends between v's old right end and r_u and starts
+after l_v: it lies inside u and ends after l_z2, so it is tied to z2 and
+moves too, and moved right ends are placed in left order, after v's. Left
+moves are symmetric. An output interval therefore contains another only
+if it did in the input, and the output shares the input's flags as its
+``nest_flags``, which the greedy deletion set reads, so ``nesting`` runs
+once per solve.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .intervals import IntervalGraph, nesting, renumbered, span_extremes
+from .intervals import IntervalGraph, from_endpoint_order, span_extremes
 
 
 def _place(order: list, pos: list, start: int, tokens: list) -> None:
@@ -76,7 +82,7 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
     order, pos = list(in_order), list(in_pos)
     alive = [True] * graph.n
 
-    nests = nesting(in_order, in_pos)
+    nests = graph.nest_flags()
     for u in sorted(compress(range(graph.n), nests), key=lambda u: in_pos[2 * u + 1]):
         lo, hi = pos[2 * u], pos[2 * u + 1]
         z1, z2 = span_extremes(in_order, in_pos, u, alive)
@@ -107,9 +113,7 @@ def make_semi_proper(graph: IntervalGraph) -> IntervalGraph:
         _place(order, pos, lo, [2 * v for v in out_left] + kept)
         kept = [t for t in order[tail : hi + 1] if t not in moved]
         _place(order, pos, tail, kept + [2 * v + 1 for v in out_right])
-        for v in out_right + out_left:
-            nests[v] = True
 
-    out = renumbered(graph, order, pos)
-    out._nests = nests
-    return out
+    return from_endpoint_order(
+        graph.names, order, graph.weight, pos, index=graph._index, nests=nests
+    )

@@ -416,6 +416,23 @@ def test_solver_modules_hold_only_what_runs():
     assert not unused, unused
 
 
+def test_no_module_writes_a_private_slot_of_another_object():
+    """An object's underscore attributes are assigned by its own methods
+    only: a graph receives what its maker hands over (name index, token
+    positions, nest flags) as constructor keywords, and no stage patches it
+    after it is made."""
+    writes = [
+        f"{path.stem}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(Path(intervalpath.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not writes, writes
+
+
 def test_a_hamiltonian_largest_component_before_a_claw_is_certified():
     """Path components of 4 and then 5 vertices, and a claw as large as the
     first: the walk certifies the 5-path and never walks the claw."""

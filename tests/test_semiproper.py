@@ -172,9 +172,10 @@ def test_center_extremes_match_the_full_order_sweeps_small(seed, n):
 
 
 def test_greedy_flags_cover_the_output_nesting():
-    """The flags the greedy filters its centers by cover the input's nesting
-    and every output interval that contains another (fact 3), so the filter
-    skips no claw center."""
+    """The flags the greedy filters its centers by cover the input's nesting,
+    and stretching creates no containment (fact 3): the output's nesting
+    implies the input's, so the flags cover every output interval that
+    contains another and the filter skips no claw center."""
     for g in _reference_cases():
         h = normalize_endpoints(g)
         before = nesting(h.endpoint_order(), h.endpoint_positions())
@@ -183,6 +184,7 @@ def test_greedy_flags_cover_the_output_nesting():
         after = nesting(semi.endpoint_order(), semi.endpoint_positions())
         assert all(f or not b for f, b in zip(flags, before))
         assert all(f or not a for f, a in zip(flags, after))
+        assert all(b or not a for a, b in zip(after, before))
 
 
 def test_nesting_runs_only_on_a_reductions_solve(monkeypatch):
