@@ -319,6 +319,30 @@ MUTANTS = [
         "    elif widths <= {3, 5}:\n",
         "    elif True:\n",
     ),
+    (
+        "parse check: a line may break between any two tokens (a 2 + 4 split reads as 3 + 3)",
+        INTERVALS,
+        r"(?:\n[^\s#]+ -?[0-9]+ -?[0-9]+)*",
+        r"(?:[ \n][^\s#]+[ \n]-?[0-9]+[ \n]-?[0-9]+)*",
+    ),
+    (
+        "parse check: the count line need not be str(n)",
+        INTERVALS,
+        "        if toks[0] == str(n):\n",
+        "        if True:\n",
+    ),
+    (
+        "parse check: a name may hold a #",
+        INTERVALS,
+        r"[^\s#]+ -?",
+        r"\S+ -?",
+    ),
+    (
+        "parse check: a coordinate past int's digit limit escapes as ValueError",
+        INTERVALS,
+        "            except ValueError:  # a coordinate longer than int's digit limit\n",
+        "            except ZeroDivisionError:\n",
+    ),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "traces")

@@ -18,6 +18,12 @@ generators, library callers. A stage that derives a graph from one that is
 already valid keeps validity by construction and calls the ``IntervalGraph``
 constructor (or ``from_endpoint_order``) directly.
 
+``parse_intervals`` reads a plain unit-weight file (the count line, then
+``name left right`` lines with single spaces and newlines, no ``#``) with
+one structural check, ``_PLAIN``, one ``text.split()`` and slices of the
+token list, so it builds no list per line. Any other text goes line by
+line (``_parse_lines``) to the same graph or the same error.
+
 A graph receives what its maker already computed at construction: the
 constructor's keywords ``index``, ``pos`` and ``nests`` hand over the name
 index, the token positions and the nest flags, and no stage patches a graph
@@ -31,6 +37,7 @@ the small graphs after rule 1 are asked for one.
 
 from __future__ import annotations
 
+import re
 from collections import ChainMap
 from fractions import Fraction
 from itertools import compress
@@ -381,6 +388,15 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
+# A plain file: the count line, then ``name left right`` lines, one space
+# between tokens and one newline between lines. ``\s`` is ``str.isspace``,
+# which holds for every character ``str.split`` and ``str.splitlines`` break
+# at, so a match has three tokens a line on both paths; it has no ``#``, so
+# no comment. Each token's class excludes the separator after it, so a
+# failed match backtracks in linear time.
+_PLAIN = re.compile(r"[0-9]+(?:\n[^\s#]+ -?[0-9]+ -?[0-9]+)*\n?")
+
+
 def parse_intervals(text: str) -> IntervalGraph:
     """Parse the interval file format.
 
@@ -389,10 +405,32 @@ def parse_intervals(text: str) -> IntervalGraph:
 
     Malformed text raises ``ParseError``, a negative weight included; the
     checks every input passes (see ``build``) raise their own errors. The
-    lines are split and the columns converted whole, so a file without
-    weights runs no Python loop per line unless a check fails; the graph is
-    made here, without a second walk in ``build``.
+    graph is made here, without a second walk in ``build``.
+
+    A plain unit-weight file (``_PLAIN``, with the count line exactly
+    ``str(n)``) is split once and its columns are sliced off the token
+    list, so it builds no list per line. Every other text takes the
+    per-line path, ``_parse_lines``: comments, weights, any other
+    whitespace (tabs, runs of spaces, carriage returns, blank lines), a
+    count line such as ``03``, a coordinate too long for ``int``, and every
+    malformed file. Both paths give the same graph or the same error.
     """
+    if _PLAIN.fullmatch(text):
+        toks = text.split()
+        n = len(toks) // 3
+        if toks[0] == str(n):
+            try:
+                lefts, rights = list(map(int, toks[2::3])), list(map(int, toks[3::3]))
+            except ValueError:  # a coordinate longer than int's digit limit
+                return _parse_lines(text)
+            return _validated(toks[1::3], lefts, rights, [1] * n)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> IntervalGraph:
+    """``parse_intervals`` for any text: the lines are split and the columns
+    converted whole, so a file without weights runs no Python loop per line
+    unless a check fails."""
     lines = text.splitlines()
     if "#" in text:
         lines = [ln.partition("#")[0] for ln in lines]

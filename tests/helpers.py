@@ -644,12 +644,17 @@ def undominated_tails(tails: list) -> list:
     return kept
 
 
-def small_combs(count):
-    """``count`` combs of 3..5 blocks from ``bench/comb.make_comb``, imported
-    from the benchmark's directory rather than copied, as graphs."""
+def _bench_on_path():
+    """Make the benchmark's modules importable: they are imported from its
+    directory rather than copied."""
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     if bench not in sys.path:
         sys.path.append(bench)
+
+
+def small_combs(count):
+    """``count`` combs of 3..5 blocks from ``bench/comb.make_comb``, as graphs."""
+    _bench_on_path()
     from comb import make_comb
 
     rng = random.Random(11)
@@ -657,6 +662,15 @@ def small_combs(count):
         build(make_comb(rng, blocks=3 + i % 3, stairs=(6 + 4 * i, 12 + 6 * i))[0])
         for i in range(count)
     ]
+
+
+def bench_text(records) -> str:
+    """(name, left, right) records as the benchmark writes them for a solve,
+    by ``bench/answers.to_text``."""
+    _bench_on_path()
+    from answers import to_text
+
+    return to_text(records)
 
 
 def naive_prune(graph, deletion):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from intervalpath.errors import (
     DuplicateEndpoint,
     DuplicateVertexId,
     EmptySet,
+    IntervalError,
     ParseError,
 )
-from helpers import heavy_tailed
+from helpers import bench_text, heavy_tailed, small_combs
 from intervalpath.generators import GeneratorSpec, generate
+from intervalpath import intervals
 from intervalpath.intervals import (
+    _parse_lines,
     build,
     format_intervals,
     fresh_name,
@@ -269,6 +273,191 @@ def test_parse_matches_build_on_generated_graphs(seed, n, weighted):
     assert got.endpoint_order() == want.endpoint_order()
     assert got.sigma == want.sigma
     assert dict(got.index) == dict(want.index) == {nm: v for v, nm in enumerate(g.names)}
+
+
+def _parsed(parse, text):
+    """What ``parse`` makes of ``text``: the graph's records, weight types,
+    endpoint order and name index, or the class and message it raised."""
+    try:
+        g = parse(text)
+    except IntervalError as exc:
+        return type(exc), str(exc)
+    return g.records(), [type(w) for w in g.weight], g.endpoint_order(), dict(g.index)
+
+
+def _replace_one(text, rng, old, new):
+    """``text`` with one occurrence of ``old``, picked by ``rng``, made ``new``."""
+    spots = [i for i in range(len(text)) if text.startswith(old, i)]
+    if not spots:
+        return text
+    i = rng.choice(spots)
+    return text[:i] + new + text[i + len(old):]
+
+
+def _edit_line(text, rng, edit):
+    """``text`` with ``edit`` applied to the tokens of one data line."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines[1:], 1) if len(line.split(" ")) >= 3]
+    if not rows:
+        return text
+    i = rng.choice(rows)
+    lines[i] = " ".join(edit(lines[i].split(" "), rng))
+    return "\n".join(lines)
+
+
+def _insert(text, rng, new):
+    """``new`` put in at a position of ``text`` picked by ``rng``."""
+    i = rng.randrange(len(text) + 1)
+    return text[:i] + new + text[i:]
+
+
+def _move_token(text, rng, forward):
+    """One token moved across a line break: the last token of a data line to
+    the start of the next (a 2 + 4 split) or back (4 + 2)."""
+    lines = text.split("\n")
+    rows = [i for i in range(1, len(lines) - 1) if lines[i] and lines[i + 1]]
+    if not rows:
+        return text
+    i = rng.choice(rows)
+    a, b = lines[i].split(" "), lines[i + 1].split(" ")
+    if forward:
+        a, b = a[:-1], a[-1:] + b
+    else:
+        a, b = a + b[:1], b[1:]
+    lines[i], lines[i + 1] = " ".join(a), " ".join(b)
+    return "\n".join(lines)
+
+
+def _coordinate(spell):
+    """Respell one coordinate of one data line, if it is still an integer."""
+    def edit(toks, rng):
+        j = rng.choice((1, 2))
+        if re.fullmatch("-?[0-9]+", toks[j]):
+            toks[j] = spell(toks[j])
+        return toks
+    return lambda text, rng: _edit_line(text, rng, edit)
+
+
+def _count_line(spell):
+    """Respell the count: the digits the file starts with, if any."""
+    return lambda text, rng: re.sub(r"\A[0-9]+", lambda m: spell(m.group()), text)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Edits of a plain file, each of which the per-line parser reads its own way.
+PERTURBATIONS = {
+    "tab": lambda t, rng: _replace_one(t, rng, " ", "\t"),
+    "run of spaces": lambda t, rng: _replace_one(t, rng, " ", "  "),
+    "crlf": lambda t, rng: t.replace("\n", "\r\n"),
+    "bare cr": lambda t, rng: _replace_one(t, rng, "\n", "\r"),
+    "vertical tab": lambda t, rng: _replace_one(t, rng, rng.choice(" \n"), "\x0b"),
+    "file separator": lambda t, rng: _replace_one(t, rng, rng.choice(" \n"), "\x1c"),
+    "line separator": lambda t, rng: _replace_one(t, rng, rng.choice(" \n"), "\u2028"),
+    "blank line": lambda t, rng: _replace_one(t, rng, "\n", "\n\n"),
+    "leading whitespace": lambda t, rng: rng.choice((" ", "\n", "\t")) + t,
+    "trailing whitespace": lambda t, rng: t + rng.choice((" ", "\n", " \n")),
+    "no final newline": lambda t, rng: t.rstrip("\n"),
+    "comment": lambda t, rng: _replace_one(t, rng, rng.choice(" \n"), rng.choice(("#c ", " # c\n", "#\n"))),
+    "hash anywhere": lambda t, rng: _insert(t, rng, "#"),
+    "2 + 4 split": lambda t, rng: _move_token(t, rng, True),
+    "4 + 2 split": lambda t, rng: _move_token(t, rng, False),
+    "count 03": _count_line(lambda c: "0" + c),
+    "count +3": _count_line(lambda c: "+" + c),
+    "count with extra token": _count_line(lambda c: c + " x"),
+    "wrong count": _count_line(lambda c: str(int(c) + 1)),
+    "count one short": _count_line(lambda c: str(int(c) - 1)),
+    "weighted line": lambda t, rng: _edit_line(t, rng, lambda toks, r: toks + [r.choice(("3 2", "0 1", "-1 2"))]),
+    "coordinate +5": _coordinate(lambda c: "+" + c),
+    "coordinate 1_000": _coordinate(lambda c: c[0] + "_" + c[1:] if len(c) > 1 else c + "_0"),
+    "coordinate ٣": _coordinate(lambda c: c.translate(ARABIC_INDIC)),
+    "coordinate 0x1": _coordinate(lambda c: hex(int(c))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 8),
+    edits=st.lists(st.sampled_from(sorted(PERTURBATIONS)), max_size=3),
+)
+def test_parse_matches_the_per_line_reference_on_perturbed_files(seed, n, edits):
+    """Plain files and every perturbation of them parse as the per-line
+    parser parses them: the same graph, or the same error and message."""
+    rng = random.Random(seed)
+    text = format_intervals(generate(GeneratorSpec(kind="random", n=n, seed=seed)))
+    for edit in edits:
+        text = PERTURBATIONS[edit](text, rng)
+    assert _parsed(parse_intervals, text) == _parsed(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "0",
+        "0\n",
+        "00\n",
+        "2\na 1 4\nb 2 5\n",
+        "2\na 1 4\nb 2 5",
+        "2\na 1\n4 b 2 5\n",
+        "2\na 1 4 b\n2 5\n",
+        "2\na\n1 4 b 2 5\n",
+        "3\na 1 4\nb 2 5\n",
+        "1\na 1 4\nb 2 5\n",
+        "02\na 1 4\nb 2 5\n",
+        "+2\na 1 4\nb 2 5\n",
+        "2 x\na 1 4\nb 2 5\n",
+        "2\na#x 1 4\nb 2 5\n",
+        "2\na 1 4#\nb 2 5\n",
+        "2\na\t1 4\nb 2 5\n",
+        "2\na  1 4\nb 2 5\n",
+        "2\r\na 1 4\r\nb 2 5\r\n",
+        "2\na 1 4\rb 2 5\n",
+        "2\na\x0b1 4\nb 2 5\n",
+        "2\na 1 4\x1cb 2 5\n",
+        "2\na 1 4 b 2 5\n",
+        "2\na 1 4\n\nb 2 5\n",
+        "\n2\na 1 4\nb 2 5\n",
+        " 2\na 1 4\nb 2 5\n",
+        "2\na 1 4\nb 2 5\n ",
+        "2\na 1 4\nb 2 5\n\n",
+        "2\na 1 4 3 2\nb 2 5\n",
+        "2\na +1 4\nb 2 5\n",
+        "2\na 1_0 40\nb 2 50\n",
+        "2\na ٣ 4\nb 2 5\n",
+        "2\na 0x1 4\nb 2 5\n",
+        "2\na -3 4\nb -0 5\n",
+        "2\na 007 4\nb 2 5\n",
+        "2\na 1 4\na 2 5\n",
+        "2\na 1 4\nb 4 5\n",
+        "2\na 4 1\nb 2 5\n",
+        "1\na 1 " + "1" * 5000 + "\n",
+    ],
+)
+def test_parse_matches_the_per_line_reference(text):
+    assert _parsed(parse_intervals, text) == _parsed(_parse_lines, text)
+
+
+def test_plain_files_take_the_one_split_path(monkeypatch):
+    """Unweighted generated files and the benchmark's solve texts parse
+    without the per-line path, to the graph the per-line path makes."""
+
+    def per_line(text):
+        raise AssertionError("a plain file took the per-line path")
+
+    texts = [
+        format_intervals(generate(GeneratorSpec(kind=kind, n=n, k=3, seed=7)))
+        for kind in ("random", "proper", "planted")
+        for n in (15, 40, 300)
+    ]
+    for kind, n in (("planted", 2500), ("random", 48)):
+        g = generate(GeneratorSpec(kind=kind, n=n, k=3, seed=1))
+        texts.append(bench_text([(nm, l, r) for nm, l, r, _ in g.records()]))
+    texts += [bench_text([(nm, l, r) for nm, l, r, _ in g.records()]) for g in small_combs(3)]
+    monkeypatch.setattr(intervals, "_parse_lines", per_line)
+    for text in texts:
+        assert _parsed(parse_intervals, text) == _parsed(_parse_lines, text)
 
 
 def test_fresh_name_avoids_taken():
